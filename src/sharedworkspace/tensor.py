@@ -5,7 +5,10 @@ gradient checking) and record a tape of backward closures as operations are
 applied.  Backward traverses the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad``.
 Reductions use numpy's fixed sequential order, so forward passes are
-bit-reproducible on a given build.
+bit-reproducible on a given build.  The gradient of a matmul operand that
+broadcasts over batch axes is reduced inside one GEMM, with those axes folded
+into the contraction, so its last bits differ from a per-batch product summed
+afterwards.
 """
 
 from __future__ import annotations
@@ -191,8 +194,12 @@ def _accum(t: Tensor, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # Always an owned copy: ``g`` may be a view of, or the very array
+        # passed to, another node's gradient (``add`` hands one ``g`` to both
+        # operands), and later contributions are added in place.
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -214,8 +221,10 @@ def add(a, b) -> Tensor:
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, _unbroadcast(g, a.data.shape))
-            _accum(b, _unbroadcast(g, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g, b.data.shape))
         out._backward = _bw
     return out
 
@@ -225,8 +234,10 @@ def mul(a, b) -> Tensor:
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            if a.requires_grad:
+                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            if b.requires_grad:
+                _accum(b, _unbroadcast(g * a.data, b.data.shape))
         out._backward = _bw
     return out
 
@@ -378,22 +389,46 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 # ---- matmul -----------------------------------------------------------------
 
 
+def _matmul_sum(x, y, shape):
+    """``np.matmul(x, y)`` summed down to ``shape`` in one GEMM.
+
+    Batch axes that ``shape`` broadcasts over (size 1 or missing) are moved
+    next to the contracted axis of both operands and merged into it, so the
+    sum over them happens inside the product instead of over a per-batch
+    stack.  Along those axes both operands must be full size, which holds for
+    the two products of a matmul backward.
+    """
+    nb = max(x.ndim, y.ndim) - 2
+    x = x.reshape((1,) * (nb + 2 - x.ndim) + x.shape)
+    y = y.reshape((1,) * (nb + 2 - y.ndim) + y.shape)
+    target = (1,) * (nb + 2 - len(shape)) + tuple(shape)
+    red = [i for i in range(nb) if target[i] == 1 and max(x.shape[i], y.shape[i]) > 1]
+    if red:
+        keep = [i for i in range(nb) if i not in red]
+        inner = x.shape[-1] * int(np.prod([x.shape[i] for i in red]))
+        x = x.transpose(keep + [nb] + red + [nb + 1])
+        x = x.reshape(x.shape[:len(keep) + 1] + (inner,))
+        y = y.transpose(keep + red + [nb, nb + 1])
+        y = y.reshape(y.shape[:len(keep)] + (inner, y.shape[-1]))
+    return np.matmul(x, y).reshape(shape)
+
+
 def matmul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
     out = _make(np.matmul(a.data, b.data), (a, b))
     if out.requires_grad:
+        # 1-D operands take part as a (1, k) row or a (k, 1) column.
+        a2 = a.data if a.data.ndim > 1 else a.data[None, :]
+        b2 = b.data if b.data.ndim > 1 else b.data[:, None]
+        g_shape = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (a2.shape[-2], b2.shape[-1])
         def _bw(g):
-            if b.data.ndim == 1:
-                _accum(a, _unbroadcast(np.multiply.outer(g, b.data) if g.ndim else g * b.data, a.data.shape))
-                _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g[..., None])[..., 0]
-                                       if a.data.ndim > 1 else a.data * g, b.data.shape))
-                return
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            g = g.reshape(g_shape)
+            if a.requires_grad:
+                _accum(a, _matmul_sum(g, np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape))
+            if b.requires_grad:
+                _accum(b, _matmul_sum(np.swapaxes(a2, -1, -2), g, b2.shape).reshape(b.data.shape))
         out._backward = _bw
     return out
 

@@ -130,7 +130,6 @@ class SharedWorkspace:
         if candidate.shape != ws.memory.shape:
             raise ConfigError(
                 f"candidate memory shape {candidate.shape} != {ws.memory.shape}")
-        prev = ws.memory
         x_bar = T.tmean(T.relu(T.matmul(specialist_inputs, self.w1)), axis=-2, keepdims=True)
         return self.gated_update_from_pooled(ws, candidate, x_bar)
 

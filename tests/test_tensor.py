@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,151 @@ def test_batched_matmul_gradcheck():
         return T.tsum(T.mul(T.matmul(p["a"], p["b"]), 0.5))
     rep = grad_check(f, {"a": a, "b": b}, max_entries_per_param=None)
     assert rep.passed, rep.per_param
+
+
+def _reference_matmul_grads(a, b, g):
+    """Per-batch matmul backward: one product per broadcast batch element,
+    then summed by ``_unbroadcast``.  Kept as the reference that the folded
+    one-GEMM backward must reproduce."""
+    if b.ndim == 1:
+        ga = T._unbroadcast(np.multiply.outer(g, b) if g.ndim else g * b, a.shape)
+        gb = T._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g[..., None])[..., 0]
+                            if a.ndim > 1 else a * g, b.shape)
+        return ga, gb
+    ga = T._unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+    gb = T._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+    return ga, gb
+
+
+# Tolerances follow from the dtype alone.  Each entry is a sum
+# whose order changed, so its error scales with the sum of the absolute terms
+# (the reference evaluated on |a|, |b|, |g|), not with the entry itself.
+_MATMUL_GRAD_TOL = {np.float64: (1e-12, 0.0), np.float32: (1e-4, 1e-6)}
+
+
+def _check_matmul_grads_against_reference(a_shape, b_shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=a_shape).astype(dtype)
+    b = rng.normal(size=b_shape).astype(dtype)
+    g = rng.normal(size=np.matmul(a, b).shape).astype(dtype)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    T.matmul(ta, tb).backward(g)
+    rtol, atol = _MATMUL_GRAD_TOL[dtype]
+    expect = _reference_matmul_grads(a, b, g)
+    scale = _reference_matmul_grads(np.abs(a), np.abs(b), np.abs(g))
+    for got, ref, mag in zip((ta.grad, tb.grad), expect, scale):
+        assert got.shape == ref.shape and got.dtype == dtype
+        assert (np.abs(got - ref) <= rtol * mag + atol).all(), np.abs(got - ref).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((4, 7, 6), (6, 5)),                 # 2-D weight against (B, T, d)
+    ((3, 4, 2, 1, 6), (2, 6, 5)),        # per-mechanism (n_b, dm, f) weights
+    ((7, 7), (3, 7, 5)),                 # (T, T) prefix mean against (B, T, n)
+    ((2, 5, 2, 3, 4), (2, 1, 2, 4, 5)),  # scores against (B, 1, H, dk, T) writers
+    ((2, 5, 2, 3, 5), (2, 1, 2, 5, 4)),  # weights against (B, 1, H, T, dv) values
+    ((3, 4, 1, 6), (4, 6, 5)),           # per-specialist RIMs weights
+    ((3, 4, 6), (6,)),                   # 1-D right operand
+    ((2, 3, 4), (2, 4, 5)),              # equal batch axes
+])
+def test_matmul_grads_match_per_batch_reference(a_shape, b_shape, dtype):
+    _check_matmul_grads_against_reference(a_shape, b_shape, dtype, seed=0)
+
+
+@st.composite
+def _broadcastable_matmul_shapes(draw):
+    a_batch, b_batch = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        size = draw(st.integers(1, 3))
+        owner = draw(st.sampled_from(["both", "a", "b"]))
+        a_batch.append(size if owner != "b" else 1)
+        b_batch.append(size if owner != "a" else 1)
+    # Broadcasting also lets an operand leave out leading size-1 axes.
+    for batch in (a_batch, b_batch):
+        while batch and batch[0] == 1 and draw(st.booleans()):
+            batch.pop(0)
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    b_shape = (k,) if draw(st.booleans()) else tuple(b_batch) + (k, n)
+    return tuple(a_batch) + (m, k), b_shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(_broadcastable_matmul_shapes(), st.sampled_from([np.float64, np.float32]),
+       st.integers(0, 2**32 - 1))
+def test_matmul_grads_match_reference_on_random_broadcasts(shapes, dtype, seed):
+    _check_matmul_grads_against_reference(*shapes, dtype, seed)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 4), (4, 5)),           # 2-D weight against a 3-D input
+    ((3, 4), (2, 4, 5)),           # 2-D left operand against a batched right one
+    ((2, 3, 2, 1, 4), (2, 4, 3)),  # (n_b, dm, f) weight against (B, T, n_b, 1, dm)
+    ((4,), (2, 4, 3)),             # 1-D left operand against a batched right one
+])
+def test_broadcast_matmul_gradcheck(a_shape, b_shape):
+    rng = np.random.default_rng(4)
+    a = t64(rng.normal(size=a_shape), requires_grad=True, name="a")
+    b = t64(rng.normal(size=b_shape), requires_grad=True, name="b")
+    w = rng.normal(size=np.matmul(a.data, b.data).shape)
+    def f(p):
+        return T.tsum(T.mul(T.matmul(p["a"], p["b"]), w))
+    rep = grad_check(f, {"a": a, "b": b}, max_entries_per_param=None)
+    assert rep.passed, rep.per_param
+
+
+def test_gradients_never_share_memory():
+    rng = np.random.default_rng(6)
+    a = t64(rng.normal(size=(2, 3)), requires_grad=True)
+    b = t64(rng.normal(size=(2, 3)), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+
+    # ``add`` hands one array to both operands; an aliased first gradient
+    # would take the second contribution to ``a`` into ``b`` as well.
+    a.zero_grad()
+    b.zero_grad()
+    g = rng.normal(size=(2, 3))
+    T.add(T.add(a, b), a).backward(g)
+    assert not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, 2.0 * g)
+    np.testing.assert_array_equal(b.grad, g)
+
+    a.zero_grad()
+    c = t64(rng.normal(size=(3, 2)), requires_grad=True)
+    T.add(T.swapaxes(T.reshape(a, (3, 2)), 0, 1), T.reshape(c, (2, 3))).backward(g)
+    assert not np.shares_memory(a.grad, c.grad)
+    assert not np.shares_memory(a.grad, g) and not np.shares_memory(c.grad, g)
+    np.testing.assert_array_equal(a.grad, g.T.reshape(2, 3))
+    np.testing.assert_array_equal(c.grad, g.reshape(3, 2))
+
+
+def test_constant_operands_get_no_gradient():
+    rng = np.random.default_rng(8)
+    patches = Tensor(rng.normal(size=(4, 3)).astype(np.float32))
+    w = Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
+    y = T.add(T.mul(T.matmul(patches, w), patches), patches)
+    T.tsum(T.mul(y, 0.5)).backward()
+    assert patches.grad is None
+    assert w.grad is not None and w.grad.shape == (3, 3)
+
+
+def test_broadcast_matmul_backward_builds_no_per_batch_stack():
+    # tracemalloc sees numpy buffers.  A per-batch (B, d, e) stack of weight
+    # gradients, summed afterwards, would lift the peak past this bound.
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(64, 65, 64)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 128)).astype(np.float32), requires_grad=True)
+    out = T.matmul(x, w)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = x.grad.nbytes + 64 * 64 * 128 * g.itemsize
+    assert peak < bound, (peak, bound)
 
 
 # ---- softmax -----------------------------------------------------------------

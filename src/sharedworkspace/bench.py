@@ -88,22 +88,18 @@ def pairwise_flops(n_s: int, d: int) -> int:
 
 
 def workspace_flops(n_s: int, n_m: int, d: int) -> int:
-    """Multiply-adds for one write+read stage; every term is linear in n_s."""
+    """Multiply-adds of one ``_WorkspaceStage`` call: the write + broadcast
+    terms of ``write_broadcast_flops`` for one head of width d, without the
+    output projections the kernel leaves out.  Every term is linear in n_s.
+    """
     if n_m < 1:
         raise ConfigError("workspace needs at least one memory slot")
-    comm = 2 * (n_m * n_s * d + n_s * n_m * d)       # write + read score/mix
-    proj = 2 * n_s * d * d + 4 * n_m * d * d          # specialist + slot projections
-    return comm + proj
+    terms = write_broadcast_flops(n_s, n_m, d, d, 1, d, d)
+    return terms["total"] - terms["write"]["proj_out"] - terms["read"]["proj_out"]
 
 
-def count_flops(mechanism: str, n_s: int, n_m: int, d: int,
-                n_heads: int = 1, key_dim: int | None = None,
-                value_dim: int | None = None) -> int:
-    """Analytic multiply-add count per stage for either mechanism.
-
-    For the workspace mechanism this cross-checks against the per-term
-    operation trace (``write_broadcast_flops``); no n_s^2 term appears.
-    """
+def count_flops(mechanism: str, n_s: int, n_m: int, d: int) -> int:
+    """Analytic multiply-add count per stage for either mechanism."""
     if mechanism == "pairwise":
         return pairwise_flops(n_s, d)
     if mechanism == "workspace":

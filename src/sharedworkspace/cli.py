@@ -22,16 +22,16 @@ import yaml
 
 from . import __version__
 from .bench import fit_loglog_slope, run_scaling, write_csv
-from .config import HOSTS, ModelConfig, from_yaml, validate
+from .config import HOSTS, ModelConfig, from_yaml
 from .errors import ConfigError
 from .gradcheck import NonDeterministicError
 from .hostcheck import check_all_hosts, host_grad_check
-from .models import RimsModel, TimsModel, TransformerClassifier
+from .models import TimsModel, TransformerClassifier
 from .optim import NumericError
 from .serialization import CheckpointError
 from .tasks import gen_copy, gen_sort_of_clevr, gen_triangles, save_dataset
-from .train import (dataset_pair, evaluate, generate_dataset, load_model,
-                    resolve_task_fields, run_training)
+from .train import (dataset_pair, evaluate, load_model, resolve_task_fields,
+                    run_training)
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 DATA_ROOT_ENV = "SHAREDWORKSPACE_DATA"

@@ -1,13 +1,14 @@
 """Model/training configuration: a versioned, human-readable key-value file.
 
-Configs serialize to YAML.  ``validate`` enforces the cross-field rules the
-hosts rely on; it runs before any compute is spent.
+Configs load from YAML files and from checkpoint metadata through
+``from_dict``.  ``validate`` enforces the cross-field rules the hosts rely on;
+it runs before any compute is spent.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -18,6 +19,10 @@ CONFIG_VERSION = 1
 
 HOSTS = ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa", "rims_sw", "tims_sw")
 TASKS = ("triangles", "soc", "copy")
+
+# Keys that no model ever read, removed from ModelConfig; checkpoints and
+# config files written before their removal still carry them.
+RETIRED_KEYS = ("include_memory_rows", "rims_steps")
 
 
 @dataclass
@@ -44,14 +49,12 @@ class ModelConfig:
     topk: int | None = None
     n_write_iters: int = 1
     gate_style: str = "unit"
-    include_memory_rows: bool = False
     persistent_memory: bool = True   # False: re-initialize at every stage
     sw_plus_sa: bool = False
 
     # modular hosts
     n_s: int = 4              # RIMs specialists / TIMs mechanisms
     n_sel: int = 2
-    rims_steps: int = 4
     tims_mono_layers: int = 1  # monolithic layers before and after the modular stack
 
     # vision tasks
@@ -80,10 +83,6 @@ class ModelConfig:
     @property
     def slot_dim(self) -> int:
         return self.n_h if self.n_l is None else self.n_l
-
-    @property
-    def uses_workspace(self) -> bool:
-        return self.host in ("tr_ssw", "tr_hsw", "rims_sw", "tims_sw")
 
     @property
     def n_patches(self) -> int:
@@ -122,21 +121,14 @@ def validate(cfg: ModelConfig) -> ModelConfig:
     return cfg
 
 
-def to_yaml(cfg: ModelConfig, path=None) -> str:
-    text = yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=True)
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def from_dict(data, overrides: dict | None = None) -> ModelConfig:
+    """Build and validate a config from a mapping, applying overrides last.
 
-
-def from_yaml(source, overrides: dict | None = None) -> ModelConfig:
-    """Load a config from a path or YAML string, applying overrides last."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = yaml.safe_load(Path(source).read_text())
-    else:
-        data = yaml.safe_load(source)
+    Retired keys are dropped; any other unknown key is a ConfigError.
+    """
     if not isinstance(data, dict):
-        raise ConfigError("config file must contain a mapping")
+        raise ConfigError("config must be a mapping")
+    data = {k: v for k, v in data.items() if k not in RETIRED_KEYS}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(data) - known
     if unknown:
@@ -147,3 +139,12 @@ def from_yaml(source, overrides: dict | None = None) -> ModelConfig:
             raise ConfigError(f"unknown override keys: {sorted(bad)}")
         data.update(overrides)
     return validate(ModelConfig(**data))
+
+
+def from_yaml(source, overrides: dict | None = None) -> ModelConfig:
+    """Load a config from a path or YAML string, applying overrides last."""
+    if isinstance(source, (str, Path)) and Path(str(source)).exists():
+        data = yaml.safe_load(Path(source).read_text())
+    else:
+        data = yaml.safe_load(source)
+    return from_dict(data, overrides)

@@ -35,7 +35,7 @@ def toy_config(host: str, **kw) -> ModelConfig:
         raise ConfigError(f"unknown host {host!r}, expected one of {HOSTS}")
     base = dict(host=host, task=HOST_TASKS[host], n_layers=2, n_h=8, ffn_dim=16,
                 n_heads=2, mem_heads=2, key_dim=4, value_dim=4, n_m=2, n_s=4,
-                n_sel=2, image_size=16, patch_size=8, dropout=0.0, rims_steps=2,
+                n_sel=2, image_size=16, patch_size=8, dropout=0.0,
                 vocab_size=5, copy_len=3, seed=0)
     if host == "tr_hsw":
         base["topk"] = 3

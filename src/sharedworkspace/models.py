@@ -12,9 +12,13 @@ slot memory (write competition, gated update, broadcast):
 - ``rims_sw``   recurrent specialists (GRU cells) with a shared workspace
 - ``tims_sw``   mechanism-partitioned transformer with a shared workspace
 
-Vision tasks run through ``TransformerClassifier``; the copy task through the
-autoregressive ``CausalTransformerLM`` (one workspace version per position)
-or ``TimsModel``.  ``build_model`` dispatches on the config.
+The five transformer hosts run one pre-norm block stack with two
+embedding/readout variants.  ``TransformerClassifier`` embeds image patches
+(plus a question token for the relational task), keeps one workspace memory
+per example and reads out the CLS row.  ``CausalTransformerLM`` embeds the
+copy task's tokens, masks attention causally, keeps one workspace memory per
+position and reads out every position.  ``RimsModel`` and ``TimsModel`` have
+their own stacks.  ``build_model`` dispatches on the config.
 """
 
 from __future__ import annotations
@@ -103,6 +107,14 @@ def count_parameters(model) -> int:
     return int(sum(p.size for p in model.parameters().values()))
 
 
+def _checked_rng(cfg: ModelConfig, rng, hosts, kind: str):
+    """Validate ``cfg`` for a host class; returns the init generator."""
+    validate(cfg)
+    if cfg.host not in hosts:
+        raise ConfigError(f"host {cfg.host!r} is not a {kind}")
+    return np.random.default_rng(cfg.seed) if rng is None else rng
+
+
 def _mean_over_heads(weights: Tensor) -> np.ndarray:
     w = weights.data
     # (..., H, n_q, n_k) -> first batch element, mean over heads.
@@ -111,31 +123,38 @@ def _mean_over_heads(weights: Tensor) -> np.ndarray:
     return w.mean(axis=0)
 
 
-# ---- transformer classifier (vision tasks) -----------------------------------
+# ---- transformer hosts -------------------------------------------------------
 
 
-class TransformerClassifier:
-    """Patch transformer with a CLS readout; communication step per host."""
+TRANSFORMER_HOSTS = ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa")
 
-    QUESTION_BITS = 11
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        validate(cfg)
-        if cfg.host not in ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa"):
-            raise ConfigError(f"host {cfg.host!r} is not a transformer classifier")
+def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop) -> Tensor:
+    """Pre-norm residual self-attention sublayer."""
+    xn = ln(h)
+    return T.add(h, drop(multihead(xn, xn, proj, mask=mask).values))
+
+
+class _TransformerStack:
+    """Pre-norm block stack shared by the transformer hosts.
+
+    Per layer the tokens talk pairwise (``tr``/``tr_hc``; twice for
+    ``tr_2xsa``) or through the workspace (``tr_ssw``/``tr_hsw``, after a
+    pairwise sublayer with ``sw_plus_sa``), then pass through the FFN.  A
+    subclass sets ``max_tokens`` and creates its embedding parameters,
+    ``pos`` among them, before calling ``__init__``, so they are drawn and
+    listed first.  It supplies the forward pass: embedding, attention mask,
+    ``_workspace_step`` and readout.
+    """
+
+    def __init__(self, cfg: ModelConfig, rng, dtype, embedding: dict, n_out: int):
         self.cfg = cfg
         self.dtype = dtype
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
+        self._embedding = embedding
+        self._topk = cfg.topk if cfg.host == "tr_hsw" else None
         n_h = cfg.n_h
-        patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-        self.max_tokens = 1 + cfg.n_patches + (1 if cfg.task == "soc" else 0)
-
-        self.embed = Dense(rng, patch_dim, n_h, dtype, "embed")
-        self.pos = T.uniform_init(rng, (self.max_tokens, n_h), 0.02, dtype, "pos")
-        self.cls = T.uniform_init(rng, (1, n_h), 0.02, dtype, "cls")
-        self.q_embed = Dense(rng, self.QUESTION_BITS, n_h, dtype, "question") \
-            if cfg.task == "soc" else None
-
+        attention = lambda name: ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads, cfg.key_dim,
+                                               cfg.value_dim, dtype, name)
         n_unique = 1 if cfg.resolved_share_layers() else cfg.n_layers
         self.blocks = []
         for i in range(n_unique):
@@ -146,13 +165,11 @@ class TransformerClassifier:
                 "ffn": FeedForward(rng, n_h, cfg.ffn_dim, dtype, f"{p}.ffn"),
             }
             if cfg.host in ("tr", "tr_hc", "tr_2xsa") or cfg.sw_plus_sa:
-                blk["sa"] = ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads,
-                                          cfg.key_dim, cfg.value_dim, dtype, f"{p}.sa")
+                blk["sa"] = attention(f"{p}.sa")
             if cfg.host == "tr_2xsa" or (cfg.sw_plus_sa and cfg.host in ("tr_ssw", "tr_hsw")):
                 blk["ln1b"] = LayerNorm(n_h, dtype, f"{p}.ln1b")
             if cfg.host == "tr_2xsa":
-                blk["sa2"] = ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads,
-                                           cfg.key_dim, cfg.value_dim, dtype, f"{p}.sa2")
+                blk["sa2"] = attention(f"{p}.sa2")
             self.blocks.append(blk)
 
         self.workspace = None
@@ -164,16 +181,10 @@ class TransformerClassifier:
                 dtype=dtype, prefix="ws")
 
         self.final_ln = LayerNorm(n_h, dtype, "final_ln")
-        self.head = Dense(rng, n_h, cfg.n_classes, dtype, "head")
-        self.last_attention = []   # per-stage write/read maps from the last forward
+        self.head = Dense(rng, n_h, n_out, dtype, "head")
 
     def parameters(self):
-        params = {}
-        params.update(self.embed.parameters())
-        params[self.pos.name] = self.pos
-        params[self.cls.name] = self.cls
-        if self.q_embed is not None:
-            params.update(self.q_embed.parameters())
+        params = dict(self._embedding)
         for blk in self.blocks:
             for part in blk.values():
                 params.update(part.parameters())
@@ -183,12 +194,70 @@ class TransformerClassifier:
         params.update(self.head.parameters())
         return params
 
+    def _run_layers(self, h: Tensor, rng, memory_batch: tuple, mask=None,
+                    **step_args) -> Tensor:
+        """Final-normed states of embedded tokens ``h`` (B, T, n_h) after the
+        position embedding and every layer.
+
+        ``memory_batch`` is the leading shape of the workspace memory and
+        ``step_args`` go to the subclass's ``_workspace_step``.
+        """
+        cfg = self.cfg
+        n_t = h.shape[-2]
+        if n_t > self.max_tokens:
+            raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
+        if self._topk is not None and self._topk > n_t:
+            raise ConfigError(f"topk={self._topk} exceeds {n_t} specialists")
+        h = T.add(h, self.pos[:n_t])
+        state = self.workspace.reset(memory_batch) if self.workspace is not None else None
+        drop = lambda x: T.dropout(x, cfg.dropout, rng)
+
+        for layer in range(cfg.n_layers):
+            blk = self.blocks[layer % len(self.blocks)]
+            if "sa" in blk:
+                h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop)
+            if "sa2" in blk:
+                h = _self_attention(h, blk["ln1b"], blk["sa2"], mask, drop)
+            if self.workspace is not None:
+                if not cfg.persistent_memory:
+                    state = self.workspace.reset(memory_batch)
+                xn = blk["ln1b" if "sa" in blk else "ln1"](h)
+                state, read = self._workspace_step(state, xn, **step_args)
+                h = T.add(h, drop(read))
+            h = T.add(h, drop(blk["ffn"](blk["ln2"](h))))
+        return self.final_ln(h)
+
+
+class TransformerClassifier(_TransformerStack):
+    """Patch transformer with a CLS readout (vision tasks).
+
+    One workspace memory per example: all tokens compete to write into it and
+    all read from it.
+    """
+
+    QUESTION_BITS = 11
+
+    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
+        rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "transformer classifier")
+        n_h = cfg.n_h
+        patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
+        self.max_tokens = 1 + cfg.n_patches + (1 if cfg.task == "soc" else 0)
+        self.embed = Dense(rng, patch_dim, n_h, dtype, "embed")
+        self.pos = T.uniform_init(rng, (self.max_tokens, n_h), 0.02, dtype, "pos")
+        self.cls = T.uniform_init(rng, (1, n_h), 0.02, dtype, "cls")
+        self.q_embed = Dense(rng, self.QUESTION_BITS, n_h, dtype, "question") \
+            if cfg.task == "soc" else None
+        embedding = {**self.embed.parameters(), "pos": self.pos, "cls": self.cls,
+                     **(self.q_embed.parameters() if self.q_embed is not None else {})}
+        super().__init__(cfg, rng, dtype, embedding, cfg.n_classes)
+        self.last_attention = []   # per-stage write/read maps from the last forward
+
     def forward(self, images: np.ndarray, question: np.ndarray | None = None,
                 rng=None) -> Tensor:
         """Logits (B, n_classes).  ``rng`` enables dropout (training mode)."""
         cfg = self.cfg
         patches = patchify(np.asarray(images, dtype=self.dtype), cfg.patch_size)
-        b, n_p, _ = patches.shape
+        b = patches.shape[0]
         cls = T.add(T.zeros((b, 1, cfg.n_h), self.dtype), self.cls)
         parts = [cls, self.embed(Tensor(patches))]
         if self.q_embed is not None:
@@ -196,53 +265,23 @@ class TransformerClassifier:
                 raise ConfigError("this task binding requires a question vector")
             q = self.q_embed(Tensor(np.asarray(question, dtype=self.dtype)))
             parts.append(T.reshape(q, (b, 1, cfg.n_h)))
-        h = T.concat(parts, axis=-2)
-        n_t = h.shape[-2]
-        if n_t > self.max_tokens:
-            raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
-        h = T.add(h, self.pos[:n_t])
-
-        topk = cfg.topk if cfg.host == "tr_hsw" else None
-        if topk is not None and topk > n_t:
-            raise ConfigError(f"topk={topk} exceeds {n_t} specialists")
-        state = self.workspace.reset((b,)) if self.workspace is not None else None
         self.last_attention = []
-        drop = lambda x: T.dropout(x, cfg.dropout, rng)
+        h = self._run_layers(T.concat(parts, axis=-2), rng, (b,))
+        return self.head(h[:, 0])
 
-        for layer in range(cfg.n_layers):
-            blk = self.blocks[layer % len(self.blocks)]
-            xn = blk["ln1"](h)
-            if cfg.host in ("tr", "tr_hc"):
-                h = T.add(h, drop(multihead(xn, xn, blk["sa"]).values))
-            elif cfg.host == "tr_2xsa":
-                h = T.add(h, drop(multihead(xn, xn, blk["sa"]).values))
-                xn2 = blk["ln1b"](h)
-                h = T.add(h, drop(multihead(xn2, xn2, blk["sa2"]).values))
-            else:
-                if not cfg.persistent_memory:
-                    state = self.workspace.reset((b,))
-                if cfg.sw_plus_sa:
-                    h = T.add(h, drop(multihead(xn, xn, blk["sa"]).values))
-                    xn = blk["ln1b"](h)
-                cand, w_att = self.workspace.write_step(state, xn, topk=topk)
-                state = self.workspace.gated_update(state, cand, xn)
-                r_att = multihead(xn, state.memory, self.workspace.read_proj)
-                h = T.add(h, drop(r_att.values))
-                self.last_attention.append({
-                    "stage": layer,
-                    "write": _mean_over_heads(w_att.weights),
-                    "read": _mean_over_heads(r_att.weights),
-                })
-            h = T.add(h, drop(blk["ffn"](blk["ln2"](h))))
-
-        pooled = self.final_ln(h)[:, 0]
-        return self.head(pooled)
+    def _workspace_step(self, state: WorkspaceState, xn: Tensor):
+        cand, w_att = self.workspace.write_step(state, xn, topk=self._topk)
+        state = self.workspace.gated_update(state, cand, xn)
+        r_att = multihead(xn, state.memory, self.workspace.read_proj)
+        self.last_attention.append({
+            "stage": len(self.last_attention),
+            "write": _mean_over_heads(w_att.weights),
+            "read": _mean_over_heads(r_att.weights),
+        })
+        return state, r_att.values
 
 
-# ---- autoregressive transformer (copy task) ----------------------------------
-
-
-class CausalTransformerLM:
+class CausalTransformerLM(_TransformerStack):
     """Next-token transformer; workspace hosts keep one memory per position.
 
     Position t's memory only accumulates writes from positions <= t, and the
@@ -251,106 +290,37 @@ class CausalTransformerLM:
     """
 
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        validate(cfg)
-        if cfg.host not in ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa"):
-            raise ConfigError(f"host {cfg.host!r} is not a causal transformer")
-        self.cfg = cfg
-        self.dtype = dtype
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
-        n_h = cfg.n_h
+        rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "causal transformer")
         self.max_tokens = cfg.seq_len
-
-        self.embed = T.uniform_init(rng, (cfg.vocab_size, n_h), 0.02, dtype, "embed")
-        self.pos = T.uniform_init(rng, (self.max_tokens, n_h), 0.02, dtype, "pos")
-
-        n_unique = 1 if cfg.resolved_share_layers() else cfg.n_layers
-        self.blocks = []
-        for i in range(n_unique):
-            p = f"layer{i}"
-            blk = {
-                "ln1": LayerNorm(n_h, dtype, f"{p}.ln1"),
-                "ln2": LayerNorm(n_h, dtype, f"{p}.ln2"),
-                "ffn": FeedForward(rng, n_h, cfg.ffn_dim, dtype, f"{p}.ffn"),
-            }
-            if cfg.host in ("tr", "tr_hc", "tr_2xsa") or cfg.sw_plus_sa:
-                blk["sa"] = ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads,
-                                          cfg.key_dim, cfg.value_dim, dtype, f"{p}.sa")
-            if cfg.host == "tr_2xsa" or (cfg.sw_plus_sa and cfg.host in ("tr_ssw", "tr_hsw")):
-                blk["ln1b"] = LayerNorm(n_h, dtype, f"{p}.ln1b")
-            if cfg.host == "tr_2xsa":
-                blk["sa2"] = ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads,
-                                           cfg.key_dim, cfg.value_dim, dtype, f"{p}.sa2")
-            self.blocks.append(blk)
-
-        self.workspace = None
-        if cfg.host in ("tr_ssw", "tr_hsw"):
-            self.workspace = SharedWorkspace(
-                rng, n_s=self.max_tokens, n_h=n_h, n_m=cfg.n_m, n_l=cfg.n_l,
-                n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-                gate_style=cfg.gate_style, n_write_iters=cfg.n_write_iters,
-                dtype=dtype, prefix="ws")
-
-        self.final_ln = LayerNorm(n_h, dtype, "final_ln")
-        self.head = Dense(rng, n_h, cfg.vocab_size, dtype, "head")
-
-    def parameters(self):
-        params = {self.embed.name: self.embed, self.pos.name: self.pos}
-        for blk in self.blocks:
-            for part in blk.values():
-                params.update(part.parameters())
-        if self.workspace is not None:
-            params.update(self.workspace.parameters())
-        params.update(self.final_ln.parameters())
-        params.update(self.head.parameters())
-        return params
+        self.embed = T.uniform_init(rng, (cfg.vocab_size, cfg.n_h), 0.02, dtype, "embed")
+        self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
+        super().__init__(cfg, rng, dtype, {"embed": self.embed, "pos": self.pos},
+                         cfg.vocab_size)
 
     def forward(self, tokens: np.ndarray, rng=None) -> Tensor:
         """Next-token logits (B, T, vocab) for integer ``tokens`` (B, T)."""
-        cfg = self.cfg
         tokens = np.asarray(tokens)
         b, n_t = tokens.shape
-        if n_t > self.max_tokens:
-            raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
-        h = T.add(self.embed[tokens], self.pos[:n_t])
-        sa_mask = causal_mask(n_t)
-        # Write-competition mask: query position t (axis -4), one head axis,
-        # memory-slot axis, then the key positions.
-        write_mask = sa_mask.reshape(n_t, 1, 1, n_t)
-        prefix_mean = Tensor(prefix_mean_matrix(n_t, self.dtype))
+        mask = causal_mask(n_t)
+        # The write-competition mask has axes: query position t (axis -4), one
+        # head axis, memory-slot axis, then the key positions.
+        h = self._run_layers(self.embed[tokens], rng, (b, n_t), mask,
+                             write_mask=mask.reshape(n_t, 1, 1, n_t),
+                             prefix_mean=Tensor(prefix_mean_matrix(n_t, self.dtype)))
+        return self.head(h)
 
-        topk = cfg.topk if cfg.host == "tr_hsw" else None
-        state = self.workspace.reset((b, n_t)) if self.workspace is not None else None
-        drop = lambda x: T.dropout(x, cfg.dropout, rng)
-
-        for layer in range(cfg.n_layers):
-            blk = self.blocks[layer % len(self.blocks)]
-            xn = blk["ln1"](h)
-            if cfg.host in ("tr", "tr_hc"):
-                h = T.add(h, drop(multihead(xn, xn, blk["sa"], mask=sa_mask).values))
-            elif cfg.host == "tr_2xsa":
-                h = T.add(h, drop(multihead(xn, xn, blk["sa"], mask=sa_mask).values))
-                xn2 = blk["ln1b"](h)
-                h = T.add(h, drop(multihead(xn2, xn2, blk["sa2"], mask=sa_mask).values))
-            else:
-                if not cfg.persistent_memory:
-                    state = self.workspace.reset((b, n_t))
-                if cfg.sw_plus_sa:
-                    h = T.add(h, drop(multihead(xn, xn, blk["sa"], mask=sa_mask).values))
-                    xn = blk["ln1b"](h)
-                # Every position's workspace sees all positions as candidate
-                # writers, causally masked.
-                writers = T.reshape(xn, (b, 1, n_t, cfg.n_h))
-                cand, _ = self.workspace.write_step(state, writers, topk=topk,
-                                                    write_mask=write_mask)
-                pooled = T.matmul(prefix_mean, T.relu(T.matmul(xn, self.workspace.w1)))
-                pooled = T.reshape(pooled, (b, n_t, 1, self.workspace.n_l))
-                state = self.workspace.gated_update_from_pooled(state, cand, pooled)
-                readers = T.reshape(xn, (b, n_t, 1, cfg.n_h))
-                read = multihead(readers, state.memory, self.workspace.read_proj)
-                h = T.add(h, drop(T.reshape(read.values, (b, n_t, cfg.n_h))))
-            h = T.add(h, drop(blk["ffn"](blk["ln2"](h))))
-
-        return self.head(self.final_ln(h))
+    def _workspace_step(self, state: WorkspaceState, xn: Tensor, write_mask, prefix_mean):
+        b, n_t, n_h = xn.shape
+        ws = self.workspace
+        # Every position's workspace sees all positions as candidate writers,
+        # causally masked; the gate pools a running mean over the prefix.
+        writers = T.reshape(xn, (b, 1, n_t, n_h))
+        cand, _ = ws.write_step(state, writers, topk=self._topk, write_mask=write_mask)
+        pooled = T.matmul(prefix_mean, T.relu(T.matmul(xn, ws.w1)))
+        pooled = T.reshape(pooled, (b, n_t, 1, ws.n_l))
+        state = ws.gated_update_from_pooled(state, cand, pooled)
+        read = multihead(T.reshape(xn, (b, n_t, 1, n_h)), state.memory, ws.read_proj)
+        return state, T.reshape(read.values, (b, n_t, n_h))
 
 
 # ---- recurrent specialists (RIMs host) ---------------------------------------
@@ -454,12 +424,9 @@ class RimsModel:
     that communicate through the shared workspace at every time step."""
 
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32, in_dim=None):
-        validate(cfg)
-        if cfg.host != "rims_sw":
-            raise ConfigError(f"host {cfg.host!r} is not a recurrent-specialist model")
+        rng = _checked_rng(cfg, rng, ("rims_sw",), "recurrent-specialist model")
         self.cfg = cfg
         self.dtype = dtype
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
         in_dim = cfg.n_h if in_dim is None else in_dim
         self.encoder = Dense(rng, in_dim, cfg.n_h, dtype, "encoder")
         self.cell = RimsCell(rng, cfg.n_s, cfg.n_h, cfg.n_h, cfg.n_sel,
@@ -579,12 +546,9 @@ class TimsModel:
     mechanisms communicate through a per-position shared workspace."""
 
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        validate(cfg)
-        if cfg.host != "tims_sw":
-            raise ConfigError(f"host {cfg.host!r} is not a mechanism-partitioned model")
+        rng = _checked_rng(cfg, rng, ("tims_sw",), "mechanism-partitioned model")
         self.cfg = cfg
         self.dtype = dtype
-        rng = np.random.default_rng(cfg.seed) if rng is None else rng
         d, n_b = cfg.n_h, cfg.n_s
         dm = d // n_b
         self.max_tokens = cfg.seq_len
@@ -626,8 +590,7 @@ class TimsModel:
         return params
 
     def _mono(self, blk, h, mask, drop):
-        xn = blk["ln1"](h)
-        h = T.add(h, drop(multihead(xn, xn, blk["sa"], mask=mask).values))
+        h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop)
         return T.add(h, drop(blk["ffn"](blk["ln2"](h))))
 
     def forward(self, tokens: np.ndarray, rng=None) -> Tensor:

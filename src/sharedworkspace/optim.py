@@ -21,13 +21,12 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
+                 eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -49,8 +48,6 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -59,15 +56,6 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= (lr * update).astype(p.data.dtype)
-
-    def state(self) -> dict:
-        return {"step": self.step_count, "m": self.m, "v": self.v}
-
-    def load_state(self, state: dict):
-        self.step_count = state["step"]
-        for k in self.m:
-            self.m[k][...] = state["m"][k]
-            self.v[k][...] = state["v"][k]
 
 
 def cosine_lr(base_lr: float, epoch: int, total_epochs: int, min_lr: float = 0.0) -> float:

@@ -51,23 +51,36 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Returns (tensors: dict[str, np.ndarray], meta: dict)."""
+    """Returns (tensors: dict[str, np.ndarray], meta: dict).
+
+    A truncated or malformed file raises CheckpointError.
+    """
     with open(path, "rb") as fh:
+        def read(n, what):
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise CheckpointError(f"{path}: truncated in {what}")
+            return buf
+
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "header"))
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (mlen,) = struct.unpack("<I", fh.read(4))
-        manifest = json.loads(fh.read(mlen))
+        (mlen,) = struct.unpack("<I", read(4, "header"))
+        manifest = read(mlen, "manifest")
+        try:
+            manifest = json.loads(manifest)
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                       for e in manifest["tensors"]]
+            meta = manifest["meta"]
+        except (ValueError, TypeError, KeyError) as e:
+            raise CheckpointError(f"{path}: malformed manifest: {e}") from e
         tensors = {}
-        for entry in manifest["tensors"]:
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dtype.itemsize)
-            tensors[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return tensors, manifest["meta"]
+        for name, dtype, shape in entries:
+            buf = read(int(np.prod(shape)) * dtype.itemsize, f"tensor {name!r}")
+            tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+    return tensors, meta
 
 
 class MetricsWriter:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig, validate
+from .config import ModelConfig, from_dict, validate
 from .errors import ConfigError
 from .models import RimsModel, build_model, patchify
 from .optim import Adam, NumericError, cosine_lr
@@ -188,13 +188,10 @@ def _restore(params: dict, opt: Adam | None, tensors: dict) -> None:
         opt.step_count = int(np.asarray(tensors["adam.step"]).reshape(-1)[0])
 
 
-def load_model(checkpoint_path, overrides: dict | None = None):
+def load_model(checkpoint_path):
     """Rebuild the model recorded in a checkpoint; returns (model, config)."""
     tensors, meta = load_checkpoint(checkpoint_path)
-    data = dict(meta["config"])
-    if overrides:
-        data.update(overrides)
-    cfg = resolve_task_fields(validate(ModelConfig(**data)))
+    cfg = resolve_task_fields(from_dict(meta.get("config")))
     model = build_model(cfg)
     _restore(model.parameters(), None, tensors)
     return model, cfg
@@ -233,8 +230,8 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
             raise ConfigError(f"cannot resume: {last_path} does not exist")
         tensors, meta = load_checkpoint(last_path)
         # The epoch budget may be extended on resume; everything else must match.
-        drop_epochs = lambda d: {k: v for k, v in d.items() if k != "epochs"}
-        if drop_epochs(meta["config"]) != drop_epochs(meta_cfg):
+        saved = dataclasses.replace(from_dict(meta.get("config")), epochs=cfg.epochs)
+        if saved != cfg:
             raise ConfigError("checkpoint config does not match the requested config")
         _restore(params, opt, tensors)
         start_epoch = meta["epoch"]

@@ -8,7 +8,6 @@ broadcast back to every specialist as a residual read.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -183,16 +182,3 @@ def write_broadcast_flops(n_s: int, n_m: int, n_h: int, n_l: int, n_heads: int,
     total = sum(write.values()) + sum(read.values())
     return {"write": write, "read": read, "total": total}
 
-
-def dump_attention_csv(path, stage, weights: np.ndarray, mode="w"):
-    """Write attention weights as (stage, slot, specialist, weight) rows.
-
-    ``weights``: (n_queries, n_keys) mean-over-heads map for one stage.
-    """
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["stage", "slot", "specialist", "weight"])
-        for i in range(weights.shape[0]):
-            for j in range(weights.shape[1]):
-                writer.writerow([stage, i, j, float(weights[i, j])])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sharedworkspace.bench import (BenchResult, count_flops, fit_loglog_slope,
-                                   pairwise_flops, read_csv, run_scaling,
-                                   workspace_flops, write_csv)
+from sharedworkspace.bench import (BenchResult, _PairwiseStage, _WorkspaceStage,
+                                   count_flops, fit_loglog_slope, pairwise_flops,
+                                   read_csv, run_scaling, workspace_flops, write_csv)
 from sharedworkspace.errors import ConfigError
 
 
@@ -31,8 +31,8 @@ def test_workspace_count_is_affine_linear_in_n_s():
 def test_workspace_communication_term_doubles_when_n_doubles():
     d, n_m = 32, 4
     for n_s in (8, 64, 256):
-        comm = workspace_flops(n_s, n_m, d) - (2 * n_s * d * d + 4 * n_m * d * d)
-        comm2 = workspace_flops(2 * n_s, n_m, d) - (4 * n_s * d * d + 4 * n_m * d * d)
+        comm = workspace_flops(n_s, n_m, d) - (3 * n_s * d * d + 3 * n_m * d * d)
+        comm2 = workspace_flops(2 * n_s, n_m, d) - (6 * n_s * d * d + 3 * n_m * d * d)
         assert comm == 4 * n_m * n_s * d
         assert comm2 == 2 * comm
 
@@ -44,6 +44,34 @@ def test_count_flops_dispatch_and_validation():
         count_flops("telepathy", 16, 4, 32)
     with pytest.raises(ConfigError):
         workspace_flops(16, 0, 32)
+
+
+class MacCounter(np.ndarray):
+    """Array that adds the multiply-adds of every matmul it enters to ``macs``."""
+
+    macs = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [np.asarray(x) for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            MacCounter.macs += out.size * plain[0].shape[-1]
+        return out.view(MacCounter) if isinstance(out, np.ndarray) else out
+
+
+@pytest.mark.parametrize("mechanism,stage_cls", [("pairwise", _PairwiseStage),
+                                                 ("workspace", _WorkspaceStage)])
+@pytest.mark.parametrize("n_s,n_m,d", [(16, 4, 32), (7, 3, 5)])
+def test_analytic_flops_match_the_timed_kernel(mechanism, stage_cls, n_s, n_m, d):
+    rng = np.random.default_rng(0)
+    stage = (stage_cls(n_s, d, rng) if mechanism == "pairwise"
+             else stage_cls(n_s, n_m, d, rng))
+    for name, value in vars(stage).items():
+        if isinstance(value, np.ndarray):
+            setattr(stage, name, value.view(MacCounter))
+    MacCounter.macs = 0
+    stage()
+    assert MacCounter.macs == count_flops(mechanism, n_s, n_m, d)
 
 
 def test_pairwise_overtakes_workspace_for_large_n():

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,14 +8,27 @@ import pytest
 from sharedworkspace import tensor as T
 from sharedworkspace.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                                  _assemble_config, build_parser, main)
-from sharedworkspace.serialization import read_metrics
+from sharedworkspace.config import ModelConfig
+from sharedworkspace.models import build_model
+from sharedworkspace.serialization import read_metrics, save_checkpoint
 from sharedworkspace.tasks import load_dataset
+from sharedworkspace.train import resolve_task_fields
 
 SMALL = ["--set", "n_layers=2", "--set", "n_h=16", "--set", "ffn_dim=32",
          "--set", "n_heads=2", "--set", "mem_heads=2", "--set", "key_dim=8",
          "--set", "value_dim=8", "--set", "n_m=2", "--set", "train_n=96",
          "--set", "test_n=32", "--set", "batch_size=32", "--set", "dropout=0.0",
          "--set", "image_size=32"]
+
+
+def write_checkpoint(path, **extra_config):
+    """Untrained toy checkpoint whose recorded config also carries ``extra_config``."""
+    cfg = resolve_task_fields(ModelConfig(host="tr", n_layers=1, n_h=8, ffn_dim=8,
+                                          n_heads=2, key_dim=4, value_dim=4,
+                                          image_size=16))
+    save_checkpoint(path, build_model(cfg).parameters(),
+                    {"config": {**dataclasses.asdict(cfg), **extra_config}})
+    return path
 
 
 def run_small_train(tmp_path, *extra):
@@ -95,6 +110,13 @@ def test_config_file_with_overrides(tmp_path):
     assert cfg.host == "tr" and cfg.n_h == 24 and cfg.seed == 7
 
 
+def test_config_file_with_retired_keys_loads(tmp_path):
+    cfg_file = tmp_path / "old.yaml"
+    cfg_file.write_text("host: tr\nrims_steps: 4\ninclude_memory_rows: false\n")
+    args = build_parser().parse_args(["train", "--config", str(cfg_file), "--out", "x"])
+    assert _assemble_config(args) == ModelConfig(host="tr")
+
+
 # ---- eval --------------------------------------------------------------------
 
 
@@ -116,6 +138,28 @@ def test_eval_corrupt_checkpoint_exits_3(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["eval", "--checkpoint", str(bad)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("region", ["empty", "header", "manifest", "tensor"])
+def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys, region):
+    full = write_checkpoint(tmp_path / "full.ckpt").read_bytes()
+    (manifest_len,) = struct.unpack("<I", full[8:12])
+    cut = {"empty": 0, "header": 10, "manifest": 12 + manifest_len // 2,
+           "tensor": len(full) - 1}[region]
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(full[:cut])
+    assert main(["eval", "--checkpoint", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure")
+    if region != "empty":
+        assert "truncated" in err
+
+
+def test_eval_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):
+    path = write_checkpoint(tmp_path / "bogus.ckpt", bogus_key=1)
+    assert main(["eval", "--checkpoint", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "bogus_key" in err
 
 
 # ---- gradcheck ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from sharedworkspace.workspace import SharedWorkspace
 def toy(host, task="triangles", **kw):
     base = dict(host=host, task=task, n_layers=2, n_h=8, ffn_dim=16, n_heads=2,
                 mem_heads=2, key_dim=4, value_dim=4, n_m=2, n_s=4, n_sel=2,
-                image_size=16, patch_size=8, dropout=0.0, rims_steps=2,
+                image_size=16, patch_size=8, dropout=0.0,
                 vocab_size=5, copy_len=3, seed=0)
     base.update(kw)
     return ModelConfig(**base)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from sharedworkspace.config import ModelConfig
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.models import build_model
 from sharedworkspace.optim import NumericError
-from sharedworkspace.serialization import load_checkpoint, read_metrics
+from sharedworkspace.serialization import load_checkpoint, read_metrics, save_checkpoint
 from sharedworkspace.train import (batch_loss, dataset_pair, epochs_to_accuracy,
                                    evaluate, load_model, masked_cross_entropy,
                                    n_examples, resolve_task_fields, run_training)
@@ -19,6 +21,10 @@ def small_cfg(**kw):
                 batch_size=32, train_n=96, test_n=32, lr=3e-4, seed=0)
     base.update(kw)
     return ModelConfig(**base)
+
+
+# Config keys that checkpoints written before their removal still carry.
+RETIRED = {"rims_steps": 4, "include_memory_rows": False}
 
 
 def stripped_metrics(path):
@@ -122,6 +128,19 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
            stripped_metrics(tmp_path / "split" / "metrics.jsonl")
 
 
+def test_resume_from_checkpoint_with_retired_keys(tmp_path):
+    cfg = small_cfg(epochs=3, dropout=0.1)
+    run_training(cfg, tmp_path / "full")
+    run_training(cfg, tmp_path / "split", stop_epoch=1)
+    last = tmp_path / "split" / "last.ckpt"
+    tensors, meta = load_checkpoint(last)
+    meta["config"].update(RETIRED)
+    save_checkpoint(last, tensors, meta)
+    run_training(cfg, tmp_path / "split", resume=True)
+    assert stripped_metrics(tmp_path / "full" / "metrics.jsonl") == \
+           stripped_metrics(tmp_path / "split" / "metrics.jsonl")
+
+
 def test_resume_rejects_mismatched_config(tmp_path):
     run_training(small_cfg(), tmp_path, stop_epoch=1)
     with pytest.raises(ConfigError, match="does not match"):
@@ -144,6 +163,21 @@ def test_load_model_restores_exact_weights(tmp_path):
     tensors, _ = load_checkpoint(tmp_path / "best.ckpt")
     for name, p in model.parameters().items():
         np.testing.assert_array_equal(p.data, tensors[name])
+
+
+def test_checkpoint_with_retired_keys_gives_same_logits(tmp_path):
+    cfg = resolve_task_fields(small_cfg())
+    model = build_model(cfg)
+    rng = np.random.default_rng(0)
+    for p in model.parameters().values():   # distinguish the weights from a fresh init
+        p.data += rng.normal(scale=0.1, size=p.shape).astype(p.dtype)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, model.parameters(),
+                    {"config": {**dataclasses.asdict(cfg), **RETIRED}})
+    loaded, loaded_cfg = load_model(path)
+    assert loaded_cfg == cfg
+    images = rng.random((3, cfg.image_size, cfg.image_size))
+    np.testing.assert_array_equal(loaded.forward(images).data, model.forward(images).data)
 
 
 # ---- evaluation --------------------------------------------------------------

@@ -12,7 +12,7 @@ from sharedworkspace.gradcheck import grad_check
 from sharedworkspace.optim import NumericError
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.workspace import (SharedWorkspace, WorkspaceState,
-                                       dump_attention_csv, write_broadcast_flops)
+                                       write_broadcast_flops)
 
 
 def make_ws(rng, dtype=np.float64, **kw):
@@ -305,12 +305,3 @@ def test_composite_gradcheck_write_gate_broadcast():
     rep = grad_check(f, params, eps=1e-5, tol=1e-4, max_entries_per_param=16)
     assert rep.passed, rep.per_param
 
-
-def test_attention_csv_dump(tmp_path):
-    path = tmp_path / "attn.csv"
-    w = np.array([[0.25, 0.75], [0.5, 0.5]])
-    dump_attention_csv(path, 3, w)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "stage,slot,specialist,weight"
-    assert lines[1] == "3,0,0,0.25"
-    assert len(lines) == 5

@@ -20,13 +20,11 @@ from .tensor import MASK_VALUE, Tensor
 class AttentionOutput:
     values: Tensor          # (..., n_queries, value_dim)
     weights: Tensor         # (..., n_queries, n_keys)
-    selected: np.ndarray | None = None   # (..., n_queries, k) in top-k mode
 
 
 @dataclass
 class SelectionResult:
     indices: np.ndarray     # (..., k), ascending within each row
-    scores: np.ndarray      # pre-selection soft scores, shape of input
     keep_mask: np.ndarray   # 0/1 mask, shape of input
 
 
@@ -93,8 +91,7 @@ def topk_select(scores, k: int) -> SelectionResult:
     idx = compute() if _active_pin is None else _active_pin.next_indices(compute)
     mask = np.zeros_like(raw)
     np.put_along_axis(mask, idx, 1.0, axis=-1)
-    soft = T._softmax_forward(raw, -1)
-    return SelectionResult(indices=idx, scores=soft, keep_mask=mask)
+    return SelectionResult(indices=idx, keep_mask=mask)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
@@ -114,7 +111,6 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     if mask is not None:
         m = np.asarray(mask, dtype=scores.dtype)
         scores = T.add(scores, (1.0 - m) * MASK_VALUE)
-    selected = None
     if topk is not None:
         # Competition applies to keys[topk_offset:]; earlier keys (e.g. the
         # workspace's own rows) are always retained.
@@ -126,11 +122,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
         else:
             keep = sel.keep_mask
         weights = T.masked_softmax_retain(scores, keep, axis=-1)
-        selected = sel.indices + topk_offset
     else:
         weights = T.softmax(scores, axis=-1)
     out = T.matmul(weights, v)
-    return AttentionOutput(values=out, weights=weights, selected=selected)
+    return AttentionOutput(values=out, weights=weights)
 
 
 class ProjectionSet:
@@ -186,4 +181,4 @@ def multihead(q_src: Tensor, kv_src: Tensor, proj: ProjectionSet, mask=None,
             mask = np.expand_dims(mask, -3)
     att = scaled_dot_attention(q, k, v, mask=mask, topk=topk, topk_offset=topk_offset)
     out = T.matmul(_merge_heads(att.values), proj.w_o)
-    return AttentionOutput(values=out, weights=att.weights, selected=att.selected)
+    return AttentionOutput(values=out, weights=att.weights)

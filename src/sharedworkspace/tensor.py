@@ -4,6 +4,10 @@ Tensors wrap contiguous numpy buffers (float32 for training, float64 for
 gradient checking) and record a tape of backward closures as operations are
 applied.  Backward traverses the tape in reverse topological order and
 accumulates gradients into every reachable tensor with ``requires_grad``.
+One backward consumes the tape: each interior node drops its gradient, its
+closure and its inputs as soon as its closure has run, so a second backward
+through the same graph raises ``RuntimeError``.  Leaves (tensors created with
+``requires_grad=True``) keep their gradients, each in an owned C-order array.
 Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
@@ -47,7 +51,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None, name=None):
         if isinstance(data, Tensor):
@@ -61,6 +65,9 @@ class Tensor:
         self._backward = None
         self._prev = ()
         self.name = name
+        # False while ``grad`` is an array borrowed from another node's
+        # gradient (see ``_accum``); it is then copied before any write.
+        self._owns_grad = True
 
     # ---- basic introspection -------------------------------------------------
 
@@ -93,13 +100,19 @@ class Tensor:
         out = _make(self.data.astype(dtype), (self,))
         if out.requires_grad:
             def _bw(g):
-                _accum(self, g.astype(self.data.dtype))
+                _accum(self, g.astype(self.data.dtype), fresh=True)
             out._backward = _bw
         return out
 
     # ---- autodiff ------------------------------------------------------------
 
     def backward(self, grad=None):
+        """Accumulate the gradient of this tensor into every leaf below it.
+
+        The pass consumes the tape: once a node's closure has run, the node
+        drops its gradient, its closure and its inputs, so the memory they
+        hold is freed while backward proceeds.  Leaves keep their gradients.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar loss")
@@ -116,16 +129,28 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                _consumed()   # refuse before any gradient moves
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        if self.grad is not None:
+            grad = self.grad + grad
+        elif self._backward is None:
+            grad = np.array(grad, order="C")   # a leaf owns its gradient
+        self.grad = grad
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._prev = ()
 
     def zero_grad(self):
         self.grad = None
@@ -190,16 +215,38 @@ def _make(data, prev) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g):
+def _consumed(g=None):
+    """Stands in for the closure of a node whose backward has already run."""
+    raise RuntimeError("backward through a graph that an earlier backward consumed")
+
+
+def _accum(t: Tensor, g, fresh=False):
+    """Add the contribution ``g`` to ``t.grad``.
+
+    ``fresh`` says that the caller has just computed ``g`` and nothing else
+    references it: an interior node adopts it and adds later contributions
+    in place.  Any other ``g`` (a view of the consumer's gradient, or the one
+    array ``add`` hands to both operands) is borrowed: the node reads it and
+    copies before its first write.  A leaf, and a ``g`` that is not a
+    C-contiguous array of the node's dtype, always get an owned C-order copy,
+    so every gradient has the layout, and later reductions the bits, that a
+    copy gives.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # Always an owned copy: ``g`` may be a view of, or the very array
-        # passed to, another node's gradient (``add`` hands one ``g`` to both
-        # operands), and later contributions are added in place.
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
-    else:
+        if (t._backward is not None and isinstance(g, np.ndarray)
+                and g.dtype == t.data.dtype and g.flags.c_contiguous):
+            t.grad = g
+            t._owns_grad = fresh
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, order="C")
+            t._owns_grad = True
+    elif t._owns_grad:
         t.grad += g
+    else:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
+        t._owns_grad = True
 
 
 def _unbroadcast(g, shape):
@@ -221,10 +268,11 @@ def add(a, b) -> Tensor:
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
         def _bw(g):
+            # A summed-down gradient is fresh; an unreduced one is ``g`` itself.
             if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
+                _accum(a, _unbroadcast(g, a.data.shape), fresh=g.shape != a.data.shape)
             if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
+                _accum(b, _unbroadcast(g, b.data.shape), fresh=g.shape != b.data.shape)
         out._backward = _bw
     return out
 
@@ -235,9 +283,9 @@ def mul(a, b) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape))
+                _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
             if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape))
+                _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
         out._backward = _bw
     return out
 
@@ -247,7 +295,7 @@ def power(a, p: float) -> Tensor:
     out = _make(a.data ** p, (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g * p * a.data ** (p - 1.0))
+            _accum(a, g * p * a.data ** (p - 1.0), fresh=True)
         out._backward = _bw
     return out
 
@@ -258,7 +306,7 @@ def exp(a) -> Tensor:
     out = _make(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g * y)
+            _accum(a, g * y, fresh=True)
         out._backward = _bw
     return out
 
@@ -268,7 +316,7 @@ def log(a) -> Tensor:
     out = _make(np.log(a.data), (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g / a.data)
+            _accum(a, g / a.data, fresh=True)
         out._backward = _bw
     return out
 
@@ -277,9 +325,10 @@ def relu(a) -> Tensor:
     a = _astensor(a)
     out = _make(np.maximum(a.data, 0.0), (a,))
     if out.requires_grad:
-        mask = (a.data > 0).astype(a.data.dtype)
+        # The mask is made here, not at forward time: a forward that is never
+        # differentiated (evaluation) still records the tape.
         def _bw(g):
-            _accum(a, g * mask)
+            _accum(a, g * (a.data > 0), fresh=True)
         out._backward = _bw
     return out
 
@@ -290,7 +339,7 @@ def tanh(a) -> Tensor:
     out = _make(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g * (1.0 - y * y))
+            _accum(a, g * (1.0 - y * y), fresh=True)
         out._backward = _bw
     return out
 
@@ -298,13 +347,14 @@ def tanh(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _astensor(a)
     # Stable in both tails.
-    y = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                 np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    y = y.astype(a.data.dtype)
+    e = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if y.dtype != a.data.dtype:
+        y = y.astype(a.data.dtype)
     out = _make(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g * y * (1.0 - y))
+            _accum(a, g * y * (1.0 - y), fresh=True)
         out._backward = _bw
     return out
 
@@ -360,6 +410,9 @@ def take(a, idx) -> Tensor:
                 return
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
+            elif not a._owns_grad:
+                a.grad = a.grad.copy()
+            a._owns_grad = True
             np.add.at(a.grad, idx, g)
         out._backward = _bw
     return out
@@ -375,7 +428,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
         def _bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+            _accum(a, np.broadcast_to(g, a.data.shape).copy(), fresh=True)
         out._backward = _bw
     return out
 
@@ -426,9 +479,11 @@ def matmul(a, b) -> Tensor:
         def _bw(g):
             g = g.reshape(g_shape)
             if a.requires_grad:
-                _accum(a, _matmul_sum(g, np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape))
+                _accum(a, _matmul_sum(g, np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape),
+                       fresh=True)
             if b.requires_grad:
-                _accum(b, _matmul_sum(np.swapaxes(a2, -1, -2), g, b2.shape).reshape(b.data.shape))
+                _accum(b, _matmul_sum(np.swapaxes(a2, -1, -2), g, b2.shape).reshape(b.data.shape),
+                       fresh=True)
         out._backward = _bw
     return out
 
@@ -437,16 +492,16 @@ def matmul(a, b) -> Tensor:
 
 
 def _softmax_forward(x, axis):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    denom = e.sum(axis=axis, keepdims=True)
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     # Rows where every entry sits at the mask sentinel produce exp-sums that
     # would still normalize to a uniform row; force them to zero instead.
-    y = e / denom
-    dead = (x <= MASK_VALUE / 2).all(axis=axis, keepdims=True)
-    if dead.any():
-        y = np.where(dead, 0.0, y)
-    return y.astype(x.dtype)
+    if x.min() <= MASK_VALUE / 2:
+        dead = (x <= MASK_VALUE / 2).all(axis=axis, keepdims=True)
+        if dead.any():
+            np.copyto(y, 0.0, where=dead)
+    return y
 
 
 def softmax(a, axis=-1) -> Tensor:
@@ -457,7 +512,7 @@ def softmax(a, axis=-1) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot))
+            _accum(a, y * (g - dot), fresh=True)
         out._backward = _bw
     return out
 
@@ -488,7 +543,7 @@ def masked_softmax_retain(a, keep_mask, axis=-1, grad_to_dropped=True) -> Tensor
             ds = y * (gk - dot)
             if not grad_to_dropped:
                 ds = ds * m
-            _accum(a, ds)
+            _accum(a, ds, fresh=True)
         out._backward = _bw
     return out
 
@@ -500,9 +555,8 @@ def log_softmax(a, axis=-1) -> Tensor:
     y = shifted - lse
     out = _make(y, (a,))
     if out.requires_grad:
-        sm = np.exp(y)
         def _bw(g):
-            _accum(a, g - sm * g.sum(axis=axis, keepdims=True))
+            _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True), fresh=True)
         out._backward = _bw
     return out
 

@@ -19,7 +19,7 @@ from .config import ModelConfig, from_dict, validate
 from .errors import ConfigError
 from .models import RimsModel, build_model, patchify
 from .optim import Adam, NumericError, cosine_lr
-from .serialization import MetricsWriter, load_checkpoint, save_checkpoint
+from .serialization import CheckpointError, MetricsWriter, load_checkpoint, save_checkpoint
 from .tasks import (copy_loss_mask, gen_copy, gen_sort_of_clevr, gen_triangles,
                     load_dataset, save_dataset)
 
@@ -141,7 +141,11 @@ def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
 def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
              max_examples: int | None = None) -> dict:
     """Test-mode loss/accuracy; for the scene task also the accuracy split
-    into relational and non-relational questions."""
+    into relational and non-relational questions.
+
+    Each batch's forward records a tape that no backward consumes; it is
+    released before the next batch is built, so one tape is alive at a time.
+    """
     batch_size = batch_size or cfg.batch_size
     n = n_examples(cfg, data)
     if max_examples is not None:
@@ -153,6 +157,7 @@ def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
         batch = _batch_arrays(cfg, data, idx)
         loss, correct = batch_loss(model, cfg, batch, rng=None)
         total_loss += float(loss.data) * len(correct)
+        del loss
         n_units += len(correct)
         correct_all.append(correct)
         if cfg.task == "soc":
@@ -179,6 +184,20 @@ def _checkpoint_tensors(params: dict, opt: Adam) -> dict:
 
 
 def _restore(params: dict, opt: Adam | None, tensors: dict) -> None:
+    """Copy checkpoint tensors into the parameters and, given ``opt``, the
+    Adam state.  A missing tensor or one of the wrong shape raises
+    CheckpointError before anything is written."""
+    expected = {name: p.data.shape for name, p in params.items()}
+    if opt is not None:
+        for name, p in params.items():
+            expected[f"adam.m/{name}"] = expected[f"adam.v/{name}"] = p.data.shape
+        expected["adam.step"] = (1,)   # saved 1-d by save_checkpoint
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise CheckpointError(f"checkpoint lacks tensor '{name}'")
+        got = np.shape(tensors[name])
+        if got != shape:
+            raise CheckpointError(f"checkpoint tensor '{name}' has shape {got}, expected {shape}")
     for name, p in params.items():
         p.data[...] = tensors[name]
     if opt is not None:

@@ -10,7 +10,7 @@ from sharedworkspace.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                                  _assemble_config, build_parser, main)
 from sharedworkspace.config import ModelConfig
 from sharedworkspace.models import build_model
-from sharedworkspace.serialization import read_metrics, save_checkpoint
+from sharedworkspace.serialization import load_checkpoint, read_metrics, save_checkpoint
 from sharedworkspace.tasks import load_dataset
 from sharedworkspace.train import resolve_task_fields
 
@@ -153,6 +153,21 @@ def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys, region):
     assert err.startswith("i/o failure")
     if region != "empty":
         assert "truncated" in err
+
+
+@pytest.mark.parametrize("defect", ["missing", "wrong_shape"])
+def test_eval_checkpoint_with_bad_parameter_exits_3(tmp_path, capsys, defect):
+    tensors, meta = load_checkpoint(write_checkpoint(tmp_path / "full.ckpt"))
+    if defect == "missing":
+        del tensors["head.b"]
+    else:
+        # (1, n) would broadcast silently into the (n,) parameter.
+        tensors["head.b"] = tensors["head.b"][None]
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, tensors, meta)
+    assert main(["eval", "--checkpoint", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure") and "head.b" in err
 
 
 def test_eval_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):

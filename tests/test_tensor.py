@@ -211,6 +211,82 @@ def test_broadcast_matmul_backward_builds_no_per_batch_stack():
     assert peak < bound, (peak, bound)
 
 
+def test_backward_consumes_interior_nodes_and_leaves_own_their_gradients():
+    rng = np.random.default_rng(10)
+    x = t64(rng.normal(size=(3, 4)), requires_grad=True)
+    w = t64(rng.normal(size=(4, 2)), requires_grad=True)
+    h = T.tanh(T.matmul(x, w))
+    y = T.add(T.reshape(h, (2, 3)), 1.0)
+    closures = {id(n): n._backward for n in (h, y)}
+    g = rng.normal(size=(2, 3))
+    y.backward(g)
+    for node in (h, y):
+        assert node.grad is None and node._prev == ()
+        assert node._backward is not closures[id(node)]
+    for leaf in (x, w):
+        assert leaf.grad.flags.owndata and leaf.grad.flags.c_contiguous
+        assert not np.shares_memory(leaf.grad, g)
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = t64([1.0, 2.0], requires_grad=True)
+    loss = T.tsum(T.mul(x, x))
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    # A new graph over a consumed node is refused too, before any gradient moves.
+    mid = T.mul(x, 3.0)
+    T.tsum(mid).backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        T.tsum(T.add(mid, x)).backward()
+    np.testing.assert_array_equal(x.grad, first + 3.0)
+
+
+@pytest.mark.parametrize("second", ["take", "mul"])
+def test_borrowed_gradient_is_copied_before_a_write(second):
+    # ``add`` hands one gradient array to ``h`` and ``c``.  A second
+    # contribution to ``h`` (``take``'s scatter-add or an in-place sum) must
+    # not reach ``c``'s gradient, which is read after it because ``h`` is
+    # computed from ``c``.  Which consumer of ``h`` runs first depends on the
+    # operand orders, so all four are tried.  Integer values keep sums exact.
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    idx = np.array([0, 2, 2])
+    expect = 2.0 * w
+    if second == "take":
+        np.add.at(expect, idx, 10.0)
+    else:
+        expect += 10.0
+    for swap_add, swap_loss in ((False, False), (True, False), (False, True), (True, True)):
+        z = t64(np.zeros(4), requires_grad=True)
+        c = T.mul(z, 1.0)
+        h = T.mul(c, 1.0)
+        s = T.add(c, h) if swap_add else T.add(h, c)
+        other = T.take(h, idx) if second == "take" else h
+        terms = [T.tsum(T.mul(s, w)), T.tsum(T.mul(other, 10.0))]
+        T.add(*(terms[::-1] if swap_loss else terms)).backward()
+        np.testing.assert_array_equal(z.grad, expect)
+
+
+def test_backward_through_elementwise_chain_peaks_at_a_few_arrays():
+    # Each interior gradient is freed once its closure has run, so the peak
+    # does not grow with the length of the chain.
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
+    y = x
+    for _ in range(16):
+        y = T.tanh(T.mul(y, 0.9))
+    g = np.ones(y.shape)
+    tracemalloc.start()
+    try:
+        y.backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 5 * g.nbytes
+    assert peak < bound, (peak, bound)
+
+
 # ---- softmax -----------------------------------------------------------------
 
 
@@ -239,6 +315,14 @@ def test_softmax_frozen_values():
 def test_softmax_all_masked_row_is_zero():
     out = T.softmax(t64([T.MASK_VALUE, T.MASK_VALUE, T.MASK_VALUE]))
     np.testing.assert_array_equal(out.data, 0.0)
+
+
+def test_softmax_zeroes_only_the_all_masked_rows():
+    x = np.array([[T.MASK_VALUE, T.MASK_VALUE, T.MASK_VALUE],
+                  [0.5, T.MASK_VALUE, -1.0]])
+    out = T.softmax(t64(x)).data
+    np.testing.assert_array_equal(out[0], 0.0)
+    assert (out[1] == T.softmax(t64(x[1])).data).all() and out[1].sum() > 0.99
 
 
 @settings(max_examples=200, deadline=None)

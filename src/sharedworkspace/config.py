@@ -47,7 +47,6 @@ class ModelConfig:
     n_m: int = 4
     n_l: int | None = None    # None: n_l = n_h
     topk: int | None = None
-    n_write_iters: int = 1
     gate_style: str = "unit"
     persistent_memory: bool = True   # False: re-initialize at every stage
     sw_plus_sa: bool = False
@@ -129,6 +128,12 @@ def from_dict(data, overrides: dict | None = None) -> ModelConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
     data = {k: v for k, v in data.items() if k not in RETIRED_KEYS}
+    # Configs saved before n_write_iters was removed carry it as 1, the only
+    # value any model ran; the workspace now always writes once.
+    n_write_iters = data.pop("n_write_iters", 1)
+    if n_write_iters != 1:
+        raise ConfigError(f"n_write_iters={n_write_iters!r} is not supported: "
+                          "the workspace writes once")
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(data) - known
     if unknown:

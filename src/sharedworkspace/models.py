@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import ProjectionSet, multihead, topk_select
+from .attention import ProjectionSet, multihead, scaled_dot_attention, topk_select
 from .config import ModelConfig, validate
 from .errors import ConfigError
 from .tensor import Tensor
@@ -177,8 +177,7 @@ class _TransformerStack:
             self.workspace = SharedWorkspace(
                 rng, n_s=self.max_tokens, n_h=n_h, n_m=cfg.n_m, n_l=cfg.n_l,
                 n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-                gate_style=cfg.gate_style, n_write_iters=cfg.n_write_iters,
-                dtype=dtype, prefix="ws")
+                gate_style=cfg.gate_style, dtype=dtype, prefix="ws")
 
         self.final_ln = LayerNorm(n_h, dtype, "final_ln")
         self.head = Dense(rng, n_h, n_out, dtype, "head")
@@ -377,12 +376,8 @@ class RimsCell:
         zn = T.concat([z, T.add(T.zeros((b, 1, self.in_dim), self.dtype), self.null_row)],
                       axis=-2)
         q = self._per_specialist_matmul(h_prev, self.w_q)
-        keys = T.matmul(zn, self.w_e)
-        vals = T.matmul(zn, self.w_v)
-        scores = T.mul(T.matmul(q, T.swapaxes(keys, -1, -2)), 1.0 / np.sqrt(self.key_dim))
-        s = T.softmax(scores, axis=-1)
-        a = T.matmul(s, vals)
-        return a, s, s.data[..., -1]
+        att = scaled_dot_attention(q, T.matmul(zn, self.w_e), T.matmul(zn, self.w_v))
+        return att.values, att.weights, att.weights.data[..., -1]
 
     def gru(self, x: Tensor, h: Tensor) -> Tensor:
         pm = self._per_specialist_matmul

@@ -1,14 +1,18 @@
-"""Checkpoint container and metrics stream.
+"""On-disk container for checkpoints and datasets, and the metrics stream.
 
-Checkpoint layout: magic b"SWCK", format version u32 (little-endian),
-manifest length u32, JSON manifest listing (name, dtype, shape) per tensor
-plus free-form metadata, then the raw little-endian buffers in manifest
-order.
+Container layout: 4-byte magic, format version u32 (little-endian),
+manifest length u32, JSON manifest ``{"meta": ..., "tensors": [{"name",
+"dtype", "shape"}, ...]}``, then the raw little-endian buffers in manifest
+order.  Checkpoints use magic b"SWCK"; datasets (``tasks.save_dataset``) use
+b"SWDS" with their generator parameters as the meta.  A damaged container of
+either kind raises CheckpointError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import time
 from pathlib import Path
@@ -25,35 +29,37 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _le_dtype(dtype: np.dtype) -> str:
-    return np.dtype(dtype).newbyteorder("<").str
+def _write_container(path, magic: bytes, version: int, tensors: dict, meta: dict) -> None:
+    """Write to a temp file, then atomically replace ``path``.
 
-
-def save_checkpoint(path, tensors: dict, meta: dict | None = None):
+    Arrays that are already C-contiguous little-endian are written through
+    their buffer, without a copy; 0-d arrays are stored with shape [1].
+    """
     path = Path(path)
     entries = []
     buffers = []
     for name, t in tensors.items():
         arr = t.data if isinstance(t, Tensor) else np.asarray(t)
-        arr = np.ascontiguousarray(arr.astype(arr.dtype.newbyteorder("<")))
-        entries.append({"name": name, "dtype": _le_dtype(arr.dtype), "shape": list(arr.shape)})
+        arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
         buffers.append(arr)
-    manifest = json.dumps({"meta": meta or {}, "tensors": entries}).encode()
+    manifest = json.dumps({"meta": meta, "tensors": entries}).encode()
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(manifest)))
+        fh.write(magic)
+        fh.write(struct.pack("<II", version, len(manifest)))
         fh.write(manifest)
         for arr in buffers:
-            fh.write(arr.tobytes())
+            fh.write(arr.data)
     tmp.replace(path)
 
 
-def load_checkpoint(path):
-    """Returns (tensors: dict[str, np.ndarray], meta: dict).
+def _read_container(path, magic: bytes, version: int, kind: str, mmap: bool):
+    """Returns (tensors, meta).  With ``mmap`` the tensors are read-only
+    memory maps of the file, otherwise owned arrays.
 
-    A truncated or malformed file raises CheckpointError.
+    A wrong magic or version, a truncated file or a malformed manifest raises
+    CheckpointError naming ``path``.
     """
     with open(path, "rb") as fh:
         def read(n, what):
@@ -62,25 +68,51 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: truncated in {what}")
             return buf
 
-        if fh.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-        (version,) = struct.unpack("<I", read(4, "header"))
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        if fh.read(4) != magic:
+            raise CheckpointError(f"{path}: bad magic, not a {kind}")
+        (got,) = struct.unpack("<I", read(4, "header"))
+        if got != version:
+            raise CheckpointError(f"{path}: unsupported {kind} version {got}")
         (mlen,) = struct.unpack("<I", read(4, "header"))
         manifest = read(mlen, "manifest")
         try:
             manifest = json.loads(manifest)
-            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]))
                        for e in manifest["tensors"]]
             meta = manifest["meta"]
+            if not isinstance(meta, dict):
+                raise TypeError(f"meta is a {type(meta).__name__}, not an object")
+            for name, dtype, shape in entries:
+                if dtype.hasobject or any(n < 0 for n in shape):
+                    raise ValueError(f"tensor {name!r} has dtype {dtype} and shape {shape}")
         except (ValueError, TypeError, KeyError) as e:
             raise CheckpointError(f"{path}: malformed manifest: {e}") from e
+
+        offset, size = fh.tell(), os.fstat(fh.fileno()).st_size
         tensors = {}
         for name, dtype, shape in entries:
-            buf = read(int(np.prod(shape)) * dtype.itemsize, f"tensor {name!r}")
-            tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+            nbytes = math.prod(shape) * dtype.itemsize
+            if offset + nbytes > size:
+                raise CheckpointError(f"{path}: truncated in tensor {name!r}")
+            if mmap:
+                tensors[name] = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=shape)
+            else:
+                tensors[name] = arr = np.empty(shape, dtype)
+                fh.readinto(arr.reshape(-1).view(np.uint8))
+            offset += nbytes
     return tensors, meta
+
+
+def save_checkpoint(path, tensors: dict, meta: dict | None = None):
+    _write_container(path, MAGIC, FORMAT_VERSION, tensors, meta or {})
+
+
+def load_checkpoint(path):
+    """Returns (tensors: dict[str, np.ndarray], meta: dict).
+
+    A truncated or malformed file raises CheckpointError.
+    """
+    return _read_container(path, MAGIC, FORMAT_VERSION, "checkpoint", mmap=False)
 
 
 class MetricsWriter:

@@ -11,22 +11,22 @@ independently of the rendered input:
 
 Datasets are deterministic in (seed, params): sample i draws from a generator
 seeded by (master seed, i), so generation order or parallelism cannot change
-the bytes.  On disk: one JSON header followed by fixed-size records that
-loaders memory-map.
+the bytes.  On disk they use the checkpoint container (see serialization),
+and loaders memory-map the arrays.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+from .serialization import _read_container, _write_container
 
 DATASET_MAGIC = b"SWDS"
-DATASET_VERSION = 1
+# Raised with every layout change, so a stale cache file fails to load.
+DATASET_VERSION = 2
 
 # Sort-of-clevr answer vocabulary (class indices).
 SOC_ANSWERS = ("square", "circle", "left", "right", "up", "down",
@@ -286,45 +286,15 @@ def copy_loss_mask(seq_len: int) -> np.ndarray:
 
 
 def save_dataset(path, data: dict) -> None:
-    """Header (magic, version, JSON params + array specs) then raw records."""
-    arrays = {k: v for k, v in data.items() if k != "params"}
-    spec = {k: {"dtype": str(v.dtype), "shape": list(v.shape)}
-            for k, v in arrays.items()}
-    header = json.dumps({"params": data["params"], "arrays": spec},
-                        sort_keys=True).encode()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<II", DATASET_VERSION, len(header)))
-        fh.write(header)
-        for k in sorted(arrays):
-            fh.write(np.ascontiguousarray(arrays[k]).tobytes())
-    import os
-    os.replace(tmp, path)
+    """The arrays (in name order) with ``params`` as the meta, in the
+    serialization container under the dataset magic."""
+    arrays = {k: data[k] for k in sorted(data) if k != "params"}
+    _write_container(path, DATASET_MAGIC, DATASET_VERSION, arrays, data["params"])
 
 
-def load_dataset(path, mmap: bool = True) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != DATASET_MAGIC:
-            raise ConfigError(f"{path} is not a dataset file")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != DATASET_VERSION:
-            raise ConfigError(f"dataset version {version} unsupported")
-        meta = json.loads(fh.read(hlen).decode())
-        offset = fh.tell()
-    out = {"params": meta["params"]}
-    for k in sorted(meta["arrays"]):
-        spec = meta["arrays"][k]
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape))
-        if mmap:
-            out[k] = np.memmap(path, dtype=dtype, mode="r", offset=offset,
-                               shape=shape)
-        else:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                out[k] = np.frombuffer(fh.read(count * dtype.itemsize),
-                                       dtype=dtype).reshape(shape)
-        offset += count * dtype.itemsize
-    return out
+def load_dataset(path) -> dict:
+    """Memory-mapped arrays plus ``params``; a damaged or stale file raises
+    CheckpointError."""
+    arrays, params = _read_container(path, DATASET_MAGIC, DATASET_VERSION, "dataset",
+                                     mmap=True)
+    return {"params": params, **arrays}

@@ -517,19 +517,12 @@ def softmax(a, axis=-1) -> Tensor:
     return out
 
 
-def masked_softmax_retain(a, keep_mask, axis=-1, grad_to_dropped=True) -> Tensor:
+def masked_softmax_retain(a, keep_mask, axis=-1) -> Tensor:
     """Full softmax, then zero non-kept entries without renormalizing.
 
     ``keep_mask`` is a constant 0/1 array broadcastable to ``a``.  Kept
     entries retain their soft score from the full softmax, so with an
     all-ones mask this is bitwise identical to ``softmax``.
-
-    With ``grad_to_dropped`` (default) the backward pass is the exact
-    derivative of the computed function: dropped scores still receive
-    gradient through the shared softmax normalizer, which keeps the op
-    compatible with finite-difference verification.  Setting it False
-    truncates the backward at the mask, giving dropped scores exactly
-    zero gradient (straight-through routing semantics).
     """
     a = _astensor(a)
     m = np.asarray(keep_mask, dtype=a.data.dtype)
@@ -540,10 +533,7 @@ def masked_softmax_retain(a, keep_mask, axis=-1, grad_to_dropped=True) -> Tensor
         def _bw(g):
             gk = g * m
             dot = (gk * y).sum(axis=axis, keepdims=True)
-            ds = y * (gk - dot)
-            if not grad_to_dropped:
-                ds = ds * m
-            _accum(a, ds, fresh=True)
+            _accum(a, y * (gk - dot), fresh=True)
         out._backward = _bw
     return out
 

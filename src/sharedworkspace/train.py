@@ -243,6 +243,11 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
     meta_cfg = dataclasses.asdict(cfg)
     last_path, best_path = out / "last.ckpt", out / "best.ckpt"
 
+    def checkpoint(path, epoch, step, best_acc):
+        save_checkpoint(path, _checkpoint_tensors(params, opt),
+                        {"epoch": epoch, "step": step, "best_test_accuracy": best_acc,
+                         "config": meta_cfg})
+
     start_epoch, step, best_acc = 0, 0, -1.0
     if resume:
         if not last_path.exists():
@@ -257,9 +262,7 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
         step = meta["step"]
         best_acc = meta["best_test_accuracy"]
     else:
-        save_checkpoint(last_path, _checkpoint_tensors(params, opt),
-                        {"epoch": 0, "step": 0, "best_test_accuracy": best_acc,
-                         "config": meta_cfg})
+        checkpoint(last_path, 0, 0, best_acc)
 
     n_train = n_examples(cfg, train_d)
     end_epoch = cfg.epochs if stop_epoch is None else min(cfg.epochs, stop_epoch)
@@ -297,12 +300,8 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
 
             if ev["accuracy"] > best_acc:
                 best_acc = ev["accuracy"]
-                save_checkpoint(best_path, _checkpoint_tensors(params, opt),
-                                {"epoch": epoch + 1, "step": step,
-                                 "best_test_accuracy": best_acc, "config": meta_cfg})
-            save_checkpoint(last_path, _checkpoint_tensors(params, opt),
-                            {"epoch": epoch + 1, "step": step,
-                             "best_test_accuracy": best_acc, "config": meta_cfg})
+                checkpoint(best_path, epoch + 1, step, best_acc)
+            checkpoint(last_path, epoch + 1, step, best_acc)
 
             record = {"epoch": epoch, "train_loss": train_loss,
                       "train_accuracy": train_acc, "test_loss": ev["loss"],

@@ -36,7 +36,7 @@ class SharedWorkspace:
     def __init__(self, rng: np.random.Generator, n_s: int, n_h: int, n_m: int,
                  n_l: int | None = None, n_heads: int = 4, key_dim: int = 32,
                  value_dim: int | None = None, gate_style: str = "unit",
-                 n_write_iters: int = 1, include_memory_rows: bool = False,
+                 include_memory_rows: bool = False,
                  read_q_dim: int | None = None, read_out_dim: int | None = None,
                  dtype=np.float32, prefix: str = "ws"):
         if n_m < 1:
@@ -55,7 +55,6 @@ class SharedWorkspace:
         self.n_heads = n_heads
         self.key_dim, self.value_dim = key_dim, value_dim
         self.gate_style = gate_style
-        self.n_write_iters = n_write_iters
         self.include_memory_rows = include_memory_rows
         self.dtype = dtype
 
@@ -115,13 +114,9 @@ class SharedWorkspace:
             offset = self.n_m
         else:
             kv = specialists
-        memory = ws.memory
-        att = None
-        for _ in range(self.n_write_iters):
-            att = multihead(memory, kv, self.write_proj, mask=write_mask,
-                            topk=topk, topk_offset=offset)
-            memory = att.values
-        return memory, att
+        att = multihead(ws.memory, kv, self.write_proj, mask=write_mask,
+                        topk=topk, topk_offset=offset)
+        return att.values, att
 
     def gated_update(self, ws: WorkspaceState, candidate: Tensor,
                      specialist_inputs: Tensor) -> WorkspaceState:

@@ -92,15 +92,6 @@ def test_run_scaling_shapes_and_monotone_wall():
         assert walls == sorted(walls)
 
 
-@pytest.mark.slow
-def test_loglog_slopes_fall_in_expected_windows():
-    res = run_scaling([32, 64, 128, 256, 512], repeats=7, seed=0)
-    ws = fit_loglog_slope(res, "workspace")
-    pw = fit_loglog_slope(res, "pairwise")
-    assert 0.8 <= ws <= 1.3, ws
-    assert 1.7 <= pw <= 2.3, pw
-
-
 def test_fit_slope_needs_two_points():
     res = [BenchResult("pairwise", 8, 4, 32, 1, 100.0, 1)]
     with pytest.raises(ConfigError):

@@ -66,6 +66,17 @@ def test_train_smoke_writes_manifest(tmp_path):
     assert len(read_metrics(out / "metrics.jsonl")) == 4
 
 
+def test_train_over_truncated_cached_dataset_exits_3(tmp_path, capsys):
+    assert run_small_train(tmp_path)[0] == EXIT_OK
+    (cached,) = (tmp_path / "data").glob("triangles-*-n96-*.swds")
+    cached.write_bytes(cached.read_bytes()[:-5])
+    capsys.readouterr()
+    assert run_small_train(tmp_path)[0] == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure") and "truncated" in err and cached.name in err
+    assert "Traceback" not in err
+
+
 def test_train_determinism_across_runs(tmp_path):
     _, out_a = run_small_train(tmp_path / "a")
     _, out_b = run_small_train(tmp_path / "b")

@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from sharedworkspace.errors import ConfigError
+from sharedworkspace.serialization import CheckpointError
 from sharedworkspace.tasks import (SOC_ANSWERS, answer_question, copy_loss_mask,
                                    decode_question, encode_question, gen_copy,
                                    gen_sort_of_clevr, gen_triangles, load_dataset,
@@ -199,7 +203,32 @@ def test_dataset_roundtrip(tmp_path):
 def test_dataset_bad_magic_rejected(tmp_path):
     p = tmp_path / "junk.swds"
     p.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ConfigError, match="not a dataset"):
+    with pytest.raises(CheckpointError, match="not a dataset"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("region", ["empty", "header", "manifest", "buffer"])
+def test_truncated_dataset_rejected(tmp_path, region):
+    full = tmp_path / "full.swds"
+    save_dataset(full, gen_copy(4, vocab=5, seq_len=8, seed=1))
+    data = full.read_bytes()
+    (manifest_len,) = struct.unpack("<I", data[8:12])
+    cut = {"empty": 0, "header": 10, "manifest": 12 + manifest_len // 2,
+           "buffer": len(data) - 5}[region]
+    p = tmp_path / "cut.swds"
+    p.write_bytes(data[:cut])
+    with pytest.raises(CheckpointError, match="not a dataset" if cut == 0 else "truncated"):
+        load_dataset(p)
+
+
+def test_version_1_dataset_rejected(tmp_path):
+    # The version-1 layout: its own JSON header schema, then the raw arrays.
+    tokens = np.zeros((2, 3), dtype=np.int64)
+    header = json.dumps({"params": {"task": "copy"}, "arrays": {
+        "tokens": {"dtype": "int64", "shape": [2, 3]}}}, sort_keys=True).encode()
+    p = tmp_path / "stale.swds"
+    p.write_bytes(b"SWDS" + struct.pack("<II", 1, len(header)) + header + tokens.tobytes())
+    with pytest.raises(CheckpointError, match="stale.swds.*version 1"):
         load_dataset(p)
 
 

@@ -341,15 +341,6 @@ def test_masked_softmax_retain_all_ones_is_softmax_bitwise():
     assert (soft == kept).all()
 
 
-def test_masked_softmax_straight_through_zero_grad_for_dropped():
-    x = t64([1.0, 2.0, 3.0], requires_grad=True)
-    mask = np.array([0.0, 1.0, 1.0])
-    out = T.masked_softmax_retain(x, mask, grad_to_dropped=False)
-    T.tsum(out).backward()
-    assert x.grad[0] == 0.0
-    assert x.grad[1] != 0.0
-
-
 # ---- grad_check --------------------------------------------------------------
 
 

@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from sharedworkspace import tensor as T
-from sharedworkspace.config import ModelConfig
+from sharedworkspace.config import ModelConfig, from_dict
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.models import build_model
 from sharedworkspace.optim import NumericError
-from sharedworkspace.serialization import load_checkpoint, read_metrics, save_checkpoint
+from sharedworkspace.serialization import (CheckpointError, load_checkpoint, read_metrics,
+                                           save_checkpoint)
 from sharedworkspace.train import (batch_loss, dataset_pair, epochs_to_accuracy,
                                    evaluate, load_model, masked_cross_entropy,
                                    n_examples, resolve_task_fields, run_training)
@@ -24,7 +28,7 @@ def small_cfg(**kw):
 
 
 # Config keys that checkpoints written before their removal still carry.
-RETIRED = {"rims_steps": 4, "include_memory_rows": False}
+RETIRED = {"rims_steps": 4, "include_memory_rows": False, "n_write_iters": 1}
 
 
 def stripped_metrics(path):
@@ -178,6 +182,43 @@ def test_checkpoint_with_retired_keys_gives_same_logits(tmp_path):
     assert loaded_cfg == cfg
     images = rng.random((3, cfg.image_size, cfg.image_size))
     np.testing.assert_array_equal(loaded.forward(images).data, model.forward(images).data)
+
+
+@pytest.mark.parametrize("value", [0, 2])
+def test_n_write_iters_other_than_one_rejected(value):
+    with pytest.raises(ConfigError, match="n_write_iters"):
+        from_dict({"host": "tr", "n_write_iters": value})
+
+
+def test_checkpoint_bytes_pinned(tmp_path):
+    # Covers the big-endian, non-contiguous and 0-d (stored as [1]) cases.
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    tensors = {"w": w, "w.T": w.T, "b": np.array([1.5, -2.0], dtype=">f8"),
+               "step": np.array(3, dtype=np.int64)}
+    path = tmp_path / "pin.ckpt"
+    save_checkpoint(path, tensors, {"epoch": 1, "config": {"host": "tr"}})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "9bba19784957f0eeadd85f7f988c2e3045614778ebd036e8fbc05f48903eac2a"
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"epoch": 1, "config": {"host": "tr"}}
+    for name, arr in tensors.items():
+        np.testing.assert_array_equal(loaded[name].reshape(np.shape(arr)), arr)
+        assert loaded[name].flags.owndata and loaded[name].flags.writeable
+
+
+@pytest.mark.parametrize("meta,entry", [
+    ({}, {"name": "o", "dtype": "|O", "shape": [1]}),
+    ({}, {"name": "neg", "dtype": "<f4", "shape": [-1]}),
+    ({}, {"name": "huge", "dtype": "<f4", "shape": [2 ** 40, 2 ** 40]}),
+    ({}, {"name": "no_shape", "dtype": "<f4"}),
+    ([], {"name": "w", "dtype": "<f4", "shape": [1]}),
+], ids=["object_dtype", "negative_shape", "huge_shape", "missing_shape", "meta_not_object"])
+def test_malformed_manifest_rejected(tmp_path, meta, entry):
+    manifest = json.dumps({"meta": meta, "tensors": [entry]}).encode()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"SWCK" + struct.pack("<II", 1, len(manifest)) + manifest + bytes(64))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 # ---- evaluation --------------------------------------------------------------

@@ -95,7 +95,7 @@ def topk_select(scores, k: int) -> SelectionResult:
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
-                         topk: int | None = None, topk_offset: int = 0) -> AttentionOutput:
+                         topk: int | None = None) -> AttentionOutput:
     """softmax(q k^T / sqrt(d)) v with optional boolean mask and top-k.
 
     ``mask`` broadcasts to (..., n_queries, n_keys); zero/False entries are
@@ -112,15 +112,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
         m = np.asarray(mask, dtype=scores.dtype)
         scores = T.add(scores, (1.0 - m) * MASK_VALUE)
     if topk is not None:
-        # Competition applies to keys[topk_offset:]; earlier keys (e.g. the
-        # workspace's own rows) are always retained.
-        sel = topk_select(scores.data[..., topk_offset:], topk)
-        if topk_offset:
-            keep = np.concatenate(
-                [np.ones(scores.shape[:-1] + (topk_offset,), dtype=scores.dtype), sel.keep_mask],
-                axis=-1)
-        else:
-            keep = sel.keep_mask
+        keep = topk_select(scores.data, topk).keep_mask
         weights = T.masked_softmax_retain(scores, keep, axis=-1)
     else:
         weights = T.softmax(scores, axis=-1)
@@ -128,7 +120,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     return AttentionOutput(values=out, weights=weights)
 
 
-class ProjectionSet:
+class ProjectionSet(T.Module):
     """Per-head query/key/value projections plus the output projection."""
 
     def __init__(self, rng: np.random.Generator, q_dim: int, kv_dim: int, out_dim: int,
@@ -143,9 +135,6 @@ class ProjectionSet:
         self.w_e = T.linear_init(rng, kv_dim, n_heads * key_dim, dtype, f"{prefix}.w_e")
         self.w_v = T.linear_init(rng, kv_dim, n_heads * value_dim, dtype, f"{prefix}.w_v")
         self.w_o = T.linear_init(rng, n_heads * value_dim, out_dim, dtype, f"{prefix}.w_o")
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {t.name: t for t in (self.w_q, self.w_e, self.w_v, self.w_o)}
 
 
 def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
@@ -162,7 +151,7 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 def multihead(q_src: Tensor, kv_src: Tensor, proj: ProjectionSet, mask=None,
-              topk: int | None = None, topk_offset: int = 0) -> AttentionOutput:
+              topk: int | None = None) -> AttentionOutput:
     """Multi-head scaled dot-product attention over projected inputs.
 
     Queries come from ``q_src`` (..., n_q, q_dim) and keys/values from
@@ -179,6 +168,6 @@ def multihead(q_src: Tensor, kv_src: Tensor, proj: ProjectionSet, mask=None,
             # (batch, n_q, n_k): insert the head axis.  Masks with more dims
             # are taken as-is; the caller has already placed the head axis.
             mask = np.expand_dims(mask, -3)
-    att = scaled_dot_attention(q, k, v, mask=mask, topk=topk, topk_offset=topk_offset)
+    att = scaled_dot_attention(q, k, v, mask=mask, topk=topk)
     out = T.matmul(_merge_heads(att.values), proj.w_o)
     return AttentionOutput(values=out, weights=att.weights)

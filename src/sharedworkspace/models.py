@@ -19,6 +19,10 @@ per example and reads out the CLS row.  ``CausalTransformerLM`` embeds the
 copy task's tokens, masks attention causally, keeps one workspace memory per
 position and reads out every position.  ``RimsModel`` and ``TimsModel`` have
 their own stacks.  ``build_model`` dispatches on the config.
+
+Every layer is a ``tensor.Module``: its parameters are found by walking its
+attributes in assignment order, not listed by hand.  A host assigns its
+embedding first, so the embedding is listed first.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .workspace import SharedWorkspace, WorkspaceState
 # ---- building blocks ---------------------------------------------------------
 
 
-class Dense:
+class Dense(T.Module):
     def __init__(self, rng, fan_in, fan_out, dtype=np.float32, prefix="dense", bias=True):
         self.w = T.linear_init(rng, fan_in, fan_out, dtype, f"{prefix}.w")
         self.b = T.zeros((fan_out,), dtype, requires_grad=True, name=f"{prefix}.b") if bias else None
@@ -45,14 +49,8 @@ class Dense:
         y = T.matmul(x, self.w)
         return T.add(y, self.b) if self.b is not None else y
 
-    def parameters(self):
-        out = {self.w.name: self.w}
-        if self.b is not None:
-            out[self.b.name] = self.b
-        return out
 
-
-class LayerNorm:
+class LayerNorm(T.Module):
     def __init__(self, dim, dtype=np.float32, prefix="ln"):
         # ``dim`` may be a tuple for per-mechanism norms (n_b, dm).
         self.g = T.ones(dim, dtype, requires_grad=True, name=f"{prefix}.g")
@@ -61,20 +59,14 @@ class LayerNorm:
     def __call__(self, x):
         return T.layer_norm(x, self.g, self.b)
 
-    def parameters(self):
-        return {self.g.name: self.g, self.b.name: self.b}
 
-
-class FeedForward:
+class FeedForward(T.Module):
     def __init__(self, rng, dim, hidden, dtype=np.float32, prefix="ffn"):
         self.d1 = Dense(rng, dim, hidden, dtype, f"{prefix}.1")
         self.d2 = Dense(rng, hidden, dim, dtype, f"{prefix}.2")
 
     def __call__(self, x):
         return self.d2(T.relu(self.d1(x)))
-
-    def parameters(self):
-        return {**self.d1.parameters(), **self.d2.parameters()}
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -135,22 +127,22 @@ def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop) -
     return T.add(h, drop(multihead(xn, xn, proj, mask=mask).values))
 
 
-class _TransformerStack:
+class _TransformerStack(T.Module):
     """Pre-norm block stack shared by the transformer hosts.
 
     Per layer the tokens talk pairwise (``tr``/``tr_hc``; twice for
     ``tr_2xsa``) or through the workspace (``tr_ssw``/``tr_hsw``, after a
     pairwise sublayer with ``sw_plus_sa``), then pass through the FFN.  A
-    subclass sets ``max_tokens`` and creates its embedding parameters,
-    ``pos`` among them, before calling ``__init__``, so they are drawn and
-    listed first.  It supplies the forward pass: embedding, attention mask,
-    ``_workspace_step`` and readout.
+    subclass sets ``max_tokens`` and assigns its embedding parameters,
+    ``pos`` among them, before calling ``__init__``, so they are drawn first
+    and, since parameters are found in attribute order, listed first.  It
+    supplies the forward pass: embedding, attention mask, ``_workspace_step``
+    and readout.
     """
 
-    def __init__(self, cfg: ModelConfig, rng, dtype, embedding: dict, n_out: int):
+    def __init__(self, cfg: ModelConfig, rng, dtype, n_out: int):
         self.cfg = cfg
         self.dtype = dtype
-        self._embedding = embedding
         self._topk = cfg.topk if cfg.host == "tr_hsw" else None
         n_h = cfg.n_h
         attention = lambda name: ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads, cfg.key_dim,
@@ -181,17 +173,6 @@ class _TransformerStack:
 
         self.final_ln = LayerNorm(n_h, dtype, "final_ln")
         self.head = Dense(rng, n_h, n_out, dtype, "head")
-
-    def parameters(self):
-        params = dict(self._embedding)
-        for blk in self.blocks:
-            for part in blk.values():
-                params.update(part.parameters())
-        if self.workspace is not None:
-            params.update(self.workspace.parameters())
-        params.update(self.final_ln.parameters())
-        params.update(self.head.parameters())
-        return params
 
     def _run_layers(self, h: Tensor, rng, memory_batch: tuple, mask=None,
                     **step_args) -> Tensor:
@@ -246,9 +227,7 @@ class TransformerClassifier(_TransformerStack):
         self.cls = T.uniform_init(rng, (1, n_h), 0.02, dtype, "cls")
         self.q_embed = Dense(rng, self.QUESTION_BITS, n_h, dtype, "question") \
             if cfg.task == "soc" else None
-        embedding = {**self.embed.parameters(), "pos": self.pos, "cls": self.cls,
-                     **(self.q_embed.parameters() if self.q_embed is not None else {})}
-        super().__init__(cfg, rng, dtype, embedding, cfg.n_classes)
+        super().__init__(cfg, rng, dtype, cfg.n_classes)
         self.last_attention = []   # per-stage write/read maps from the last forward
 
     def forward(self, images: np.ndarray, question: np.ndarray | None = None,
@@ -293,8 +272,7 @@ class CausalTransformerLM(_TransformerStack):
         self.max_tokens = cfg.seq_len
         self.embed = T.uniform_init(rng, (cfg.vocab_size, cfg.n_h), 0.02, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
-        super().__init__(cfg, rng, dtype, {"embed": self.embed, "pos": self.pos},
-                         cfg.vocab_size)
+        super().__init__(cfg, rng, dtype, cfg.vocab_size)
 
     def forward(self, tokens: np.ndarray, rng=None) -> Tensor:
         """Next-token logits (B, T, vocab) for integer ``tokens`` (B, T)."""
@@ -325,7 +303,7 @@ class CausalTransformerLM(_TransformerStack):
 # ---- recurrent specialists (RIMs host) ---------------------------------------
 
 
-class RimsCell:
+class RimsCell(T.Module):
     """Per-specialist GRU cells plus the null-augmented input attention."""
 
     def __init__(self, rng, n_s, n_h, in_dim, n_sel, key_dim=16,
@@ -354,11 +332,6 @@ class RimsCell:
         self.w_e = T.linear_init(rng, in_dim, key_dim, dtype, f"{prefix}.inp.w_e")
         self.w_v = T.linear_init(rng, in_dim, n_h, dtype, f"{prefix}.inp.w_v")
         self.null_row = T.uniform_init(rng, (1, in_dim), 0.02, dtype, f"{prefix}.inp.null")
-
-    def parameters(self):
-        return {t.name: t for t in (
-            self.w_z, self.w_r, self.w_n, self.u_z, self.u_r, self.u_n,
-            self.b_z, self.b_r, self.b_n, self.w_q, self.w_e, self.w_v, self.null_row)}
 
     def _per_specialist_matmul(self, x: Tensor, w: Tensor) -> Tensor:
         # x (B, n_s, d) with stacked weights w (n_s, d, e) -> (B, n_s, e)
@@ -414,7 +387,7 @@ def rims_sw_step(cell: RimsCell, ws: SharedWorkspace, state: WorkspaceState,
     return h_next, state, sel
 
 
-class RimsModel:
+class RimsModel(T.Module):
     """Sequence classifier: an input projection feeding recurrent specialists
     that communicate through the shared workspace at every time step."""
 
@@ -434,14 +407,6 @@ class RimsModel:
         self.h0 = T.uniform_init(rng, (cfg.n_s, cfg.n_h), 0.02, dtype, "h0")
         self.head = Dense(rng, cfg.n_s * cfg.n_h, cfg.n_classes, dtype, "head")
 
-    def parameters(self):
-        params = {self.h0.name: self.h0}
-        params.update(self.encoder.parameters())
-        params.update(self.cell.parameters())
-        params.update(self.workspace.parameters())
-        params.update(self.head.parameters())
-        return params
-
     def forward(self, x_seq: np.ndarray, rng=None) -> Tensor:
         """Logits (B, n_classes) from input frames (B, steps, rows, in_dim)."""
         x = np.asarray(x_seq, dtype=self.dtype)
@@ -458,7 +423,7 @@ class RimsModel:
 # ---- mechanism-partitioned transformer (TIMs host) ---------------------------
 
 
-class TimsLayer:
+class TimsLayer(T.Module):
     """One modular layer: mechanisms compete per position, the winners
     self-attend (scaled by their retained competition score) and write one
     combined row per position into that position's workspace."""
@@ -479,14 +444,6 @@ class TimsLayer:
         self.ffn_w1 = T.uniform_init(rng, (n_b, dm, ffn_dim), si, dtype, f"{prefix}.ffn.w1")
         self.ffn_w2 = T.uniform_init(rng, (n_b, ffn_dim, dm),
                                      1.0 / np.sqrt(ffn_dim), dtype, f"{prefix}.ffn.w2")
-
-    def parameters(self):
-        params = {t.name: t for t in (self.w_c, self.w_a, self.ffn_w1, self.ffn_w2)}
-        for p in self.sa:
-            params.update(p.parameters())
-        params.update(self.ln1.parameters())
-        params.update(self.ln2.parameters())
-        return params
 
 
 def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
@@ -536,7 +493,7 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     return T.reshape(h_out, (b, n_t, d)), state, sel
 
 
-class TimsModel:
+class TimsModel(T.Module):
     """Autoregressive LM: monolithic layers sandwiching a modular stack whose
     mechanisms communicate through a per-position shared workspace."""
 
@@ -572,17 +529,6 @@ class TimsModel:
             dtype=dtype, prefix="ws")
         self.final_ln = LayerNorm(d, dtype, "final_ln")
         self.head = Dense(rng, d, cfg.vocab_size, dtype, "head")
-
-    def parameters(self):
-        params = {self.embed.name: self.embed, self.pos.name: self.pos}
-        for blk in (self.mono_in, self.mono_out):
-            for part in blk.values():
-                params.update(part.parameters())
-        params.update(self.modular.parameters())
-        params.update(self.workspace.parameters())
-        params.update(self.final_ln.parameters())
-        params.update(self.head.parameters())
-        return params
 
     def _mono(self, blk, h, mask, drop):
         h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop)

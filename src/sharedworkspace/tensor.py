@@ -12,7 +12,8 @@ Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
 into the contraction, so its last bits differ from a per-batch product summed
-afterwards.
+afterwards.  Layers that own parameters derive from ``Module``, which finds
+them by walking the layer's attributes.
 """
 
 from __future__ import annotations
@@ -93,17 +94,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def astype(self, dtype) -> "Tensor":
-        out = _make(self.data.astype(dtype), (self,))
-        if out.requires_grad:
-            def _bw(g):
-                _accum(self, g.astype(self.data.dtype), fresh=True)
-            out._backward = _bw
-        return out
-
     # ---- autodiff ------------------------------------------------------------
 
     def backward(self, grad=None):
@@ -157,47 +147,11 @@ class Tensor:
 
     # ---- operator sugar ------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
-    def transpose(self, ax1, ax2):
-        return swapaxes(self, ax1, ax2)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _astensor(x, like=None) -> Tensor:
@@ -296,27 +250,6 @@ def power(a, p: float) -> Tensor:
     if out.requires_grad:
         def _bw(g):
             _accum(a, g * p * a.data ** (p - 1.0), fresh=True)
-        out._backward = _bw
-    return out
-
-
-def exp(a) -> Tensor:
-    a = _astensor(a)
-    y = np.exp(a.data)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, g * y, fresh=True)
-        out._backward = _bw
-    return out
-
-
-def log(a) -> Tensor:
-    a = _astensor(a)
-    out = _make(np.log(a.data), (a,))
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, g / a.data, fresh=True)
         out._backward = _bw
     return out
 
@@ -582,6 +515,41 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
     return mul(x, keep)
+
+
+# ---- parameters -------------------------------------------------------------
+
+
+class Module:
+    """Base of every layer that owns parameters.
+
+    ``parameters()`` finds them rather than keeping a list: it walks the
+    instance's attributes in assignment order, recursing into Modules, lists,
+    tuples and dicts, and returns each leaf tensor with ``requires_grad``
+    once, keyed by its name.  Checkpoints and the optimizer key parameters by
+    name, so two different tensors with one name raise ``ValueError``.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        found = {}
+
+        def visit(x):
+            if isinstance(x, Tensor):
+                if x.requires_grad and x._backward is None \
+                        and found.setdefault(x.name, x) is not x:
+                    raise ValueError(f"two different parameters are named {x.name!r}")
+                return
+            if isinstance(x, Module):
+                x = vars(x).values()
+            elif isinstance(x, dict):
+                x = x.values()
+            elif not isinstance(x, (list, tuple)):
+                return
+            for item in x:
+                visit(item)
+
+        visit(self)
+        return found
 
 
 # ---- parameter initialization ----------------------------------------------

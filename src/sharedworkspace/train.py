@@ -150,6 +150,8 @@ def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
     n = n_examples(cfg, data)
     if max_examples is not None:
         n = min(n, max_examples)
+    if n <= 0:
+        raise ConfigError(f"evaluation over no examples (max_examples={max_examples})")
     total_loss, n_units = 0.0, 0
     correct_all, rel_all = [], []
     for lo in range(0, n, batch_size):
@@ -257,6 +259,9 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
         saved = dataclasses.replace(from_dict(meta.get("config")), epochs=cfg.epochs)
         if saved != cfg:
             raise ConfigError("checkpoint config does not match the requested config")
+        for key in ("epoch", "step", "best_test_accuracy"):
+            if key not in meta:
+                raise CheckpointError(f"{last_path}: checkpoint meta lacks '{key}'")
         _restore(params, opt, tensors)
         start_epoch = meta["epoch"]
         step = meta["step"]

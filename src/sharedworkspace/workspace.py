@@ -30,7 +30,7 @@ class WorkspaceState:
     memory: Tensor
 
 
-class SharedWorkspace:
+class SharedWorkspace(T.Module):
     """Parameters and operations of one shared workspace instance."""
 
     def __init__(self, rng: np.random.Generator, n_s: int, n_h: int, n_m: int,
@@ -76,14 +76,6 @@ class SharedWorkspace:
         self.b_f = T.zeros((gate_out,), dtype, requires_grad=True, name=f"{prefix}.gate.b_f")
         self.init_memory = T.uniform_init(rng, (n_m, n_l), 0.01, dtype, f"{prefix}.init_memory")
 
-    def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        params.update(self.write_proj.parameters())
-        params.update(self.read_proj.parameters())
-        for t in (self.w1, self.w_i, self.w_f, self.b_i, self.b_f, self.init_memory):
-            params[t.name] = t
-        return params
-
     # ---- operations ---------------------------------------------------------
 
     def reset(self, batch_shape: tuple) -> WorkspaceState:
@@ -97,7 +89,9 @@ class SharedWorkspace:
         """Candidate memory from the write competition.
 
         ``specialists``: (..., n_s, n_h) rows of R.  ``topk`` selects hard
-        competition with k specialist writers; None is soft competition.
+        competition with k specialist writers; None is soft competition.  A
+        workspace built with ``include_memory_rows`` takes soft competition
+        only.
         ``write_mask`` optionally hides specialist columns (e.g. causal
         masking), broadcastable to (..., n_m, n_keys).
         Returns (candidate memory M_tilde, attention output for logging).
@@ -106,16 +100,13 @@ class SharedWorkspace:
             raise ConfigError("write_step needs at least one specialist")
         if not np.isfinite(specialists.data).all():
             raise NumericError("non-finite specialist state entering workspace write")
-        if topk is not None and not 1 <= topk <= specialists.shape[-2]:
-            raise ConfigError(f"topk={topk} out of range for {specialists.shape[-2]} specialists")
-        offset = 0
-        if self.include_memory_rows:
-            kv = T.concat([ws.memory, specialists], axis=-2)
-            offset = self.n_m
-        else:
-            kv = specialists
-        att = multihead(ws.memory, kv, self.write_proj, mask=write_mask,
-                        topk=topk, topk_offset=offset)
+        if topk is not None:
+            if self.include_memory_rows:
+                raise ConfigError("hard write competition (topk) needs include_memory_rows=False")
+            if not 1 <= topk <= specialists.shape[-2]:
+                raise ConfigError(f"topk={topk} out of range for {specialists.shape[-2]} specialists")
+        kv = T.concat([ws.memory, specialists], axis=-2) if self.include_memory_rows else specialists
+        att = multihead(ws.memory, kv, self.write_proj, mask=write_mask, topk=topk)
         return att.values, att
 
     def gated_update(self, ws: WorkspaceState, candidate: Tensor,

@@ -77,6 +77,18 @@ def test_train_over_truncated_cached_dataset_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_resume_from_checkpoint_lacking_meta_key_exits_3(tmp_path, capsys):
+    _, out = run_small_train(tmp_path)
+    tensors, meta = load_checkpoint(out / "last.ckpt")
+    for key in ("epoch", "step", "best_test_accuracy"):
+        save_checkpoint(out / "last.ckpt", tensors, {k: v for k, v in meta.items() if k != key})
+        capsys.readouterr()
+        assert run_small_train(tmp_path, "--resume")[0] == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o failure") and f"'{key}'" in err
+        assert "Traceback" not in err
+
+
 def test_train_determinism_across_runs(tmp_path):
     _, out_a = run_small_train(tmp_path / "a")
     _, out_b = run_small_train(tmp_path / "b")
@@ -139,6 +151,17 @@ def test_eval_prints_metrics(tmp_path, capsys):
     assert code == EXIT_OK
     metrics = json.loads(capsys.readouterr().out)
     assert 0.0 <= metrics["accuracy"] <= 1.0 and "loss" in metrics
+
+
+def test_eval_of_no_examples_exits_1(tmp_path, capsys):
+    _, out = run_small_train(tmp_path)
+    for max_examples in ("0", "-4"):
+        capsys.readouterr()
+        code = main(["--data-root", str(tmp_path / "data"), "eval",
+                     "--checkpoint", str(out / "best.ckpt"), "--max-examples", max_examples])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "no examples" in err
 
 
 def test_eval_missing_checkpoint_exits_3(tmp_path):

@@ -1,18 +1,21 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from sharedworkspace import tensor as T
-from sharedworkspace.config import ModelConfig, validate
+from sharedworkspace.config import HOSTS, ModelConfig, validate
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.gradcheck import grad_check
+from sharedworkspace.hostcheck import toy_batch, toy_config
 from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     TimsLayer, TimsModel, TransformerClassifier,
                                     build_model, causal_mask, count_parameters,
                                     patchify, prefix_mean_matrix, rims_sw_step,
                                     tims_sw_layer)
 from sharedworkspace.tensor import Tensor
+from sharedworkspace.train import resolve_task_fields
 from sharedworkspace.workspace import SharedWorkspace
 
 
@@ -463,3 +466,67 @@ def test_end_to_end_gradcheck_sample_hosts(host, task):
         batch = (rng.random((2, 16, 16)), rng.integers(0, 2, size=2))
     rep = e2e_gradcheck(cfg, lambda: batch)
     assert rep.passed, sorted(rep.per_param.items(), key=lambda kv: -kv[1])[:5]
+
+
+# ---- parameter discovery -----------------------------------------------------
+
+
+TAPE_CASES = [pytest.param(host, {}, id=host) for host in HOSTS] + [
+    pytest.param("tims_sw", {"n_sel": 2}, id="tims_sw-n_sel2")]
+
+
+@pytest.mark.parametrize("host,kw", TAPE_CASES)
+def test_parameters_are_exactly_the_tape_leaves(host, kw):
+    cfg = toy_config(host, **kw)
+    model = build_model(cfg)
+    batch = toy_batch(cfg)
+    loss = T.cross_entropy(model.forward(*batch[:-1]), batch[-1])
+    leaves, seen, stack = set(), set(), [loss]
+    while stack:   # walked before any backward, which would consume the tape
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node.requires_grad and node._backward is None:
+                leaves.add(id(node))
+            stack.extend(node._prev)
+    assert leaves == {id(p) for p in model.parameters().values()}
+
+
+def test_two_parameters_with_one_name_rejected():
+    class Pair(T.Module):
+        def __init__(self):
+            self.a = T.zeros((2,), requires_grad=True, name="w")
+            self.parts = [T.ones((2,), requires_grad=True, name="w")]
+
+    with pytest.raises(ValueError, match="'w'"):
+        Pair().parameters()
+
+
+def test_each_leaf_parameter_listed_once():
+    class Tied(T.Module):
+        def __init__(self):
+            self.w = T.zeros((2,), requires_grad=True, name="w")
+            self.again = {"w": self.w}
+            self.fixed = T.zeros((2,), name="fixed")
+            self.activation = T.mul(self.w, 2.0)   # on the tape, not a leaf
+
+    assert list(Tied().parameters()) == ["w"]
+
+
+# SHA-256 over "name shape dtype" and the init bytes of every parameter in
+# name order: the same as before the listing order of these hosts changed.
+INIT_BY_NAME = {
+    "rims_sw": "d97da51afce6a0c45707fe043e3528cdcbbabf45a6505fbc14f5e89e8b08f717",
+    "tims_sw": "2823a8e80cb24a21ea9be695f671487c0713b5606993177a3b4aacdebac0ab21",
+}
+
+
+@pytest.mark.parametrize("host", sorted(INIT_BY_NAME))
+def test_recurrent_and_mechanism_host_init_pinned_by_name(host):
+    params = build_model(resolve_task_fields(toy_config(host))).parameters()
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        p = params[name]
+        digest.update(f"{name} {p.shape} {p.dtype}\n".encode())
+        digest.update(np.ascontiguousarray(p.data).tobytes())
+    assert digest.hexdigest() == INIT_BY_NAME[host]

@@ -127,17 +127,15 @@ def test_include_memory_rows_requires_matching_dims():
         make_ws(rng, n_l=4, include_memory_rows=True)
 
 
-def test_topk_write_protects_memory_rows():
+def test_topk_write_rejected_with_memory_rows():
     rng = np.random.default_rng(6)
     ws = make_ws(rng, n_l=8, include_memory_rows=True)
     state = ws.reset(())
     spec = t64(rng.normal(size=(5, 8)))
-    _, att = ws.write_step(state, spec, topk=2)
-    w = att.weights.data
-    # memory columns always retained; exactly 2 specialist columns kept
-    assert (w[..., :ws.n_m] > 0).all()
-    kept = (w[..., ws.n_m:] != 0).sum(axis=-1)
-    assert (kept == 2).all()
+    with pytest.raises(ConfigError, match="include_memory_rows"):
+        ws.write_step(state, spec, topk=2)
+    cand, _ = ws.write_step(state, spec)   # soft competition still runs
+    assert cand.shape == (ws.n_m, ws.n_l)
 
 
 # ---- gating ------------------------------------------------------------------

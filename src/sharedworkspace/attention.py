@@ -75,9 +75,11 @@ class pinned_selections:
 
 
 def topk_select(scores, k: int) -> SelectionResult:
-    """Indices of the k largest scores along the last axis.
+    """Indices of the k largest scores along the last axis, ascending.
 
-    Ties break toward the lowest index; the result is deterministic.
+    Ties break toward the lowest index, as in a stable sort; the result is
+    deterministic.  A partition finds the k largest, and only rows whose
+    k-th score is tied fall back to a full stable sort.
     """
     raw = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n = raw.shape[-1]
@@ -85,8 +87,16 @@ def topk_select(scores, k: int) -> SelectionResult:
         raise ConfigError(f"top-k k={k} out of range for {n} scores")
 
     def compute():
-        order = np.argsort(-raw, axis=-1, kind="stable")
-        return np.sort(order[..., :k], axis=-1)
+        neg = -raw
+        idx = np.argpartition(neg, k - 1, axis=-1)[..., :k]
+        kth = np.take_along_axis(neg, idx[..., k - 1:], axis=-1)
+        # Where the k-th score ties with one left out (or is NaN), the
+        # partition may have kept the wrong one of the tie: only those rows
+        # are redone by stable sort, which keeps the lowest indices.
+        tied = np.count_nonzero(neg <= kth, axis=-1) != k
+        if tied.any():
+            idx[tied] = np.argsort(neg[tied], axis=-1, kind="stable")[..., :k]
+        return np.sort(idx, axis=-1)
 
     idx = compute() if _active_pin is None else _active_pin.next_indices(compute)
     mask = np.zeros_like(raw)

@@ -30,8 +30,7 @@ from .models import TimsModel, TransformerClassifier
 from .optim import NumericError
 from .serialization import CheckpointError
 from .tasks import gen_copy, gen_sort_of_clevr, gen_triangles, save_dataset
-from .train import (dataset_pair, evaluate, load_model, resolve_task_fields,
-                    run_training)
+from .train import dataset, evaluate, load_model, resolve_task_fields, run_training
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 DATA_ROOT_ENV = "SHAREDWORKSPACE_DATA"
@@ -125,8 +124,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, cfg = load_model(args.checkpoint)
-    train_d, test_d = dataset_pair(cfg, _data_root(args))
-    data = train_d if args.split == "train" else test_d
+    data = dataset(cfg, args.split, _data_root(args))
     metrics = evaluate(model, cfg, data, max_examples=args.max_examples)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
@@ -160,7 +158,7 @@ def cmd_bench(args) -> int:
 
 def cmd_dump_attn(args) -> int:
     model, cfg = load_model(args.checkpoint)
-    train_d, test_d = dataset_pair(cfg, _data_root(args))
+    test_d = dataset(cfg, "test", _data_root(args))
     from .train import _batch_arrays, batch_loss
     batch = _batch_arrays(cfg, test_d, np.arange(min(args.n, 8)))
     batch_loss(model, cfg, batch, rng=None)

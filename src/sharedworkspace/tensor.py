@@ -12,8 +12,10 @@ Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
 into the contraction, so its last bits differ from a per-batch product summed
-afterwards.  Layers that own parameters derive from ``Module``, which finds
-them by walking the layer's attributes.
+afterwards.  Layer norm is one tape node with the analytic backward; its
+forward keeps the bits of the composed mean/variance arithmetic.  Layers
+that own parameters derive from ``Module``, which finds them by walking the
+layer's attributes.
 """
 
 from __future__ import annotations
@@ -147,9 +149,6 @@ class Tensor:
 
     # ---- operator sugar ------------------------------------------------------
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __getitem__(self, idx):
         return take(self, idx)
 
@@ -240,16 +239,6 @@ def mul(a, b) -> Tensor:
                 _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
             if b.requires_grad:
                 _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
-        out._backward = _bw
-    return out
-
-
-def power(a, p: float) -> Tensor:
-    a = _astensor(a)
-    out = _make(a.data ** p, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            _accum(a, g * p * a.data ** (p - 1.0), fresh=True)
         out._backward = _bw
     return out
 
@@ -399,6 +388,14 @@ def _matmul_sum(x, y, shape):
     return np.matmul(x, y).reshape(shape)
 
 
+def _transposed(x):
+    """``x`` with its last two axes swapped; a 2-D result is copied to C
+    order, since a batched product against a transposed 2-D view takes
+    numpy's slow path and the copy (one weight matrix) costs less."""
+    x = np.swapaxes(x, -1, -2)
+    return np.ascontiguousarray(x) if x.ndim == 2 else x
+
+
 def matmul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
@@ -412,10 +409,10 @@ def matmul(a, b) -> Tensor:
         def _bw(g):
             g = g.reshape(g_shape)
             if a.requires_grad:
-                _accum(a, _matmul_sum(g, np.swapaxes(b2, -1, -2), a2.shape).reshape(a.data.shape),
+                _accum(a, _matmul_sum(g, _transposed(b2), a2.shape).reshape(a.data.shape),
                        fresh=True)
             if b.requires_grad:
-                _accum(b, _matmul_sum(np.swapaxes(a2, -1, -2), g, b2.shape).reshape(b.data.shape),
+                _accum(b, _matmul_sum(_transposed(a2), g, b2.shape).reshape(b.data.shape),
                        fresh=True)
         out._backward = _bw
     return out
@@ -425,15 +422,16 @@ def matmul(a, b) -> Tensor:
 
 
 def _softmax_forward(x, axis):
-    y = x - x.max(axis=axis, keepdims=True)
+    top = x.max(axis=axis, keepdims=True)
+    y = x - top
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     # Rows where every entry sits at the mask sentinel produce exp-sums that
-    # would still normalize to a uniform row; force them to zero instead.
-    if x.min() <= MASK_VALUE / 2:
-        dead = (x <= MASK_VALUE / 2).all(axis=axis, keepdims=True)
-        if dead.any():
-            np.copyto(y, 0.0, where=dead)
+    # would still normalize to a uniform row; force them to zero instead.  A
+    # row is all at the sentinel exactly when its max is (NaN rows are not).
+    dead = top <= MASK_VALUE / 2
+    if dead.any():
+        np.copyto(y, 0.0, where=dead)
     return y
 
 
@@ -501,12 +499,45 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis with learned gain/bias."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gain), bias)
+    """Layer normalization over the last axis with learned gain/bias.
+
+    One tape node.  The forward does the arithmetic of the composition
+    mean -> centre -> mean square -> ``(var + eps) ** -0.5`` -> scale, in
+    that order, so its bits equal those of the composed ops.  The backward
+    is the analytic one (Ba et al. 2016): with ``xh`` the normalized input
+    and ``gx = g * gain``, ``dx = inv * (gx - mean(gx) - xh * mean(gx * xh))``.
+    """
+    x, gain, bias = _astensor(x), _astensor(gain, like=x), _astensor(bias, like=x)
+    dt = x.data.dtype
+    rn = np.asarray(1.0 / x.data.shape[-1], dtype=dt)
+    xh = x.data - x.data.sum(axis=-1, keepdims=True) * rn
+    var = (xh * xh).sum(axis=-1, keepdims=True) * rn
+    inv = (var + np.asarray(eps, dtype=dt)) ** -0.5
+    xh *= inv
+    y = xh * gain.data
+    y += bias.data
+    out = _make(y, (x, gain, bias))
+    if out.requires_grad:
+        def _bw(g):
+            gxh = g * xh
+            if gain.requires_grad:
+                _accum(gain, _unbroadcast(gxh, gain.data.shape), fresh=True)
+            if bias.requires_grad:
+                _accum(bias, _unbroadcast(g, bias.data.shape), fresh=g.shape != bias.data.shape)
+            if x.requires_grad:
+                # Row means of gx and gx * xh as dot products with the gain,
+                # without a full-size product.
+                def row_mean(a):
+                    m = np.einsum("...i,...i->...", a, gain.data)[..., None]
+                    m *= rn
+                    return m
+                gx = g * gain.data
+                gx -= row_mean(g)
+                gx -= xh * row_mean(gxh)
+                gx *= inv
+                _accum(x, _unbroadcast(gx, x.data.shape), fresh=True)
+        out._backward = _bw
+    return out
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -58,19 +58,23 @@ def generate_dataset(cfg: ModelConfig, n: int, seed: int) -> dict:
     return gen_copy(n, vocab=cfg.vocab_size, seq_len=2 * cfg.copy_len, seed=seed)
 
 
-def dataset_pair(cfg: ModelConfig, data_root=None) -> tuple[dict, dict]:
-    """Train/test datasets for the configured task, cached when a data root
-    is given (files are keyed by task parameters, size and seed)."""
-    def make(n, seed):
-        if data_root is None:
-            return generate_dataset(cfg, n, seed)
-        path = Path(data_root) / _dataset_name(cfg, n, seed)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_dataset(path, generate_dataset(cfg, n, seed))
-        return load_dataset(path)
+def dataset(cfg: ModelConfig, split: str, data_root=None) -> dict:
+    """The ``"train"`` or ``"test"`` set of the configured task, cached when a
+    data root is given (files are keyed by task parameters, size and seed)."""
+    n, seed = {"train": (cfg.train_n, cfg.seed),
+               "test": (cfg.test_n, cfg.seed + TEST_SEED_OFFSET)}[split]
+    if data_root is None:
+        return generate_dataset(cfg, n, seed)
+    path = Path(data_root) / _dataset_name(cfg, n, seed)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_dataset(path, generate_dataset(cfg, n, seed))
+    return load_dataset(path)
 
-    return make(cfg.train_n, cfg.seed), make(cfg.test_n, cfg.seed + TEST_SEED_OFFSET)
+
+def dataset_pair(cfg: ModelConfig, data_root=None) -> tuple[dict, dict]:
+    """Train and test sets of the configured task (see ``dataset``)."""
+    return dataset(cfg, "train", data_root), dataset(cfg, "test", data_root)
 
 
 def n_examples(cfg: ModelConfig, data: dict) -> int:
@@ -235,9 +239,11 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
     stays on disk.
     """
     cfg = resolve_task_fields(cfg)
+    # Data first: a task parameter the generator rejects fails before the
+    # run directory exists.
+    train_d, test_d = dataset_pair(cfg, data_root)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_d, test_d = dataset_pair(cfg, data_root)
 
     model = build_model(cfg)
     params = model.parameters()

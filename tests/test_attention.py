@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharedworkspace import tensor as T
-from sharedworkspace.attention import (ProjectionSet, multihead, scaled_dot_attention,
-                                       topk_select)
+from sharedworkspace.attention import (ProjectionSet, SelectionPin, multihead,
+                                       pinned_selections, scaled_dot_attention, topk_select)
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.tensor import Tensor
 
@@ -95,6 +95,52 @@ def test_topk_equals_soft_at_k_n_bitwise():
 def test_topk_tie_breaks_to_lowest_index():
     sel = topk_select(np.array([3.0, 3.0, 1.0]), 1)
     assert sel.indices.tolist() == [0]
+
+
+def stable_sort_topk(raw, k):
+    """Reference selection: the first k of a stable descending sort."""
+    return np.sort(np.argsort(-raw, axis=-1, kind="stable")[..., :k], axis=-1)
+
+
+def _topk_scores(kind, rng):
+    if kind == "random":
+        return rng.normal(size=(6, 4, 9)).astype(np.float32)
+    if kind == "integer-ties":
+        return rng.integers(0, 3, size=(6, 4, 9)).astype(np.float64)
+    if kind == "causal":
+        # (batch, query, slot, head, key) with keys after the query masked,
+        # so the early rows tie at the sentinel.
+        raw = rng.normal(size=(3, 7, 2, 2, 7))
+        causal = np.tril(np.ones((7, 7), dtype=bool))[None, :, None, None, :]
+        return np.where(causal, raw, T.MASK_VALUE)
+    return rng.normal(size=11)   # 1-D
+
+
+@pytest.mark.parametrize("kind", ["random", "integer-ties", "causal", "1-d"])
+def test_topk_matches_stable_sort(kind):
+    raw = _topk_scores(kind, np.random.default_rng(12))
+    n = raw.shape[-1]
+    for k in range(1, n + 1):
+        sel = topk_select(raw, k)
+        expect = stable_sort_topk(raw, k)
+        np.testing.assert_array_equal(sel.indices, expect)
+        mask = np.zeros_like(raw)
+        np.put_along_axis(mask, expect, 1.0, axis=-1)
+        np.testing.assert_array_equal(sel.keep_mask, mask)
+    assert (topk_select(raw, n).keep_mask == 1.0).all()
+
+
+def test_topk_replays_pinned_selection():
+    rng = np.random.default_rng(13)
+    first, second = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    pin = SelectionPin()
+    with pinned_selections(pin):
+        recorded = topk_select(first, 2).indices
+        pin.restart()
+        replayed = topk_select(second, 2)
+    np.testing.assert_array_equal(recorded, stable_sort_topk(first, 2))
+    np.testing.assert_array_equal(replayed.indices, recorded)
+    assert (replayed.keep_mask.sum(axis=-1) == 2).all()
 
 
 def test_topk_out_of_range_rejected():

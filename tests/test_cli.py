@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sharedworkspace import tensor as T
+from sharedworkspace import train
 from sharedworkspace.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                                  _assemble_config, build_parser, main)
 from sharedworkspace.config import ModelConfig
@@ -103,6 +104,15 @@ def test_invalid_config_exits_1(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_train_with_unsupported_image_size_exits_1_before_run_dir(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--host", "tr", "--task", "triangles", "--out", str(out),
+                 "--set", "image_size=16"])
+    assert code == EXIT_CONFIG
+    assert "image_size" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_override_exits_1(tmp_path):
     code = main(["train", "--host", "tr", "--set", "bogus_key=1",
                  "--out", str(tmp_path / "r")])
@@ -162,6 +172,28 @@ def test_eval_of_no_examples_exits_1(tmp_path, capsys):
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and "no examples" in err
+
+
+def test_eval_generates_only_the_evaluated_split(tmp_path, monkeypatch, capsys):
+    cfg = resolve_task_fields(ModelConfig(host="tr", n_layers=1, n_h=8, ffn_dim=8,
+                                          n_heads=2, key_dim=4, value_dim=4, image_size=32,
+                                          train_n=200, test_n=16))
+    ckpt = tmp_path / "toy.ckpt"
+    save_checkpoint(ckpt, build_model(cfg).parameters(), {"config": dataclasses.asdict(cfg)})
+    generated = []
+    real = train.gen_triangles
+
+    def counting(n, **kw):
+        generated.append(n)
+        return real(n, **kw)
+
+    monkeypatch.setattr(train, "gen_triangles", counting)
+    for split, n in (("test", 16), ("train", 200)):
+        generated.clear()
+        assert main(["eval", "--checkpoint", str(ckpt), "--split", split,
+                     "--max-examples", "4"]) == EXIT_OK
+        assert generated == [n]
+        assert "accuracy" in json.loads(capsys.readouterr().out)
 
 
 def test_eval_missing_checkpoint_exits_3(tmp_path):

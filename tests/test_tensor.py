@@ -325,6 +325,17 @@ def test_softmax_zeroes_only_the_all_masked_rows():
     assert (out[1] == T.softmax(t64(x[1])).data).all() and out[1].sum() > 0.99
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_softmax_dead_rows_are_rows_entirely_at_the_sentinel():
+    m, nan = T.MASK_VALUE, np.nan
+    x = np.array([[m, m, m], [m, 0.0, m], [m, nan, m], [nan, nan, nan], [m, m, 2 * m]])
+    for axis in (-1, 0):
+        sums = T.softmax(t64(x), axis=axis).data.sum(axis=axis)
+        dead = (x <= m / 2).all(axis=axis)
+        assert (sums[dead] == 0.0).all()
+        assert not (sums[~dead] == 0.0).any()   # 1, or NaN for a row holding NaN
+
+
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, (4, 5), elements=st.floats(-1e4, 1e4)))
 def test_softmax_rows_sum_to_one_no_nan(x):
@@ -388,16 +399,68 @@ def test_gradcheck_detects_corrupted_backward():
 
 def test_gradcheck_layer_norm_and_composites():
     rng = np.random.default_rng(5)
-    params = {
-        "x": t64(rng.normal(size=(4, 6)), requires_grad=True, name="x"),
-        "g": t64(rng.normal(size=6), requires_grad=True, name="g"),
-        "b": t64(rng.normal(size=6), requires_grad=True, name="b"),
-    }
-    def f(p):
-        y = T.layer_norm(p["x"], p["g"], p["b"])
-        return T.tsum(T.mul(T.sigmoid(y), T.tanh(y)))
-    rep = grad_check(f, params, max_entries_per_param=None)
-    assert rep.passed, rep.per_param
+    # Rows with one gain, and a 4-D interior input with a gain per mechanism.
+    for x_shape, g_shape in (((4, 6), (6,)), ((2, 3, 4, 5), (4, 5))):
+        params = {
+            "x": t64(rng.normal(size=x_shape), requires_grad=True, name="x"),
+            "g": t64(rng.normal(size=g_shape), requires_grad=True, name="g"),
+            "b": t64(rng.normal(size=g_shape), requires_grad=True, name="b"),
+        }
+        def f(p):
+            y = T.layer_norm(p["x"], p["g"], p["b"])
+            return T.tsum(T.mul(T.sigmoid(y), T.tanh(y)))
+        rep = grad_check(f, params, max_entries_per_param=None)
+        assert rep.passed, (x_shape, rep.per_param)
+
+
+def _power(a, p):
+    """``a ** p`` as a tape node, for the composite reference below."""
+    out = T._make(a.data ** p, (a,))
+    if out.requires_grad:
+        out._backward = lambda g: T._accum(a, g * p * a.data ** (p - 1.0), fresh=True)
+    return out
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    """Layer norm composed from engine ops, in the arithmetic order that
+    ``T.layer_norm`` keeps."""
+    mu = T.tmean(x, axis=-1, keepdims=True)
+    centered = T.add(x, T.mul(mu, -1.0))
+    var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
+    inv = _power(T.add(var, eps), -0.5)
+    return T.add(T.mul(T.mul(centered, inv), gain), bias)
+
+
+@pytest.mark.parametrize("x_shape,g_shape", [((3, 7, 64), (64,)), ((5, 48), (48,)),
+                                             ((2, 6, 3, 10), (3, 10)), ((4, 1), (1,))])
+def test_layer_norm_is_one_node_with_composite_forward_bits(x_shape, g_shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(loc=3.0, scale=2.0, size=x_shape)
+    g, b = rng.normal(size=g_shape), rng.normal(size=g_shape)
+    for dt in (np.float32, np.float64):
+        args = [Tensor(a.astype(dt), requires_grad=True) for a in (x, g, b)]
+        fused, composed = T.layer_norm(*args), composite_layer_norm(*args)
+        assert fused.dtype == dt and fused._prev == tuple(args)
+        assert fused.data.tobytes() == composed.data.tobytes()
+    # float64 gradients of one upstream gradient through both versions.
+    up = rng.normal(size=x_shape)
+    grads = []
+    for ln in (T.layer_norm, composite_layer_norm):
+        args = [t64(a, requires_grad=True) for a in (x, g, b)]
+        ln(*args).backward(up)
+        grads.append([a.grad for a in args])
+    for fused_g, composed_g in zip(*grads):
+        assert np.abs(fused_g - composed_g).max() <= 1e-9 * np.abs(composed_g).max()
+
+
+def test_layer_norm_without_tape_records_nothing():
+    x = t64(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    g, b = t64(np.ones(3), requires_grad=True), t64(np.zeros(3), requires_grad=True)
+    with T.no_grad():
+        y = T.layer_norm(x, g, b)
+    assert not y.requires_grad and y._backward is None and y._prev == ()
+    y = T.layer_norm(Tensor(x.data), Tensor(g.data), Tensor(b.data))
+    assert not y.requires_grad and y._backward is None
 
 
 def test_cross_entropy_matches_manual_oracle():

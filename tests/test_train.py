@@ -153,7 +153,7 @@ def test_resume_rejects_mismatched_config(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_aborts_and_keeps_checkpoint(tmp_path):
-    cfg = small_cfg(epochs=6, lr=1e8)   # divergent step size
+    cfg = small_cfg(epochs=6, lr=1e12)   # divergent step size
     with pytest.raises(NumericError):
         run_training(cfg, tmp_path)
     assert (tmp_path / "last.ckpt").exists()

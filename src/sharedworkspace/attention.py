@@ -167,17 +167,11 @@ def multihead(q_src: Tensor, kv_src: Tensor, proj: ProjectionSet, mask=None,
     Queries come from ``q_src`` (..., n_q, q_dim) and keys/values from
     ``kv_src`` (..., n_k, kv_dim).  Head outputs are concatenated and
     projected to ``proj.out_dim``.  Returned weights have shape
-    (..., H, n_q, n_k).
+    (..., H, n_q, n_k), and ``mask`` broadcasts to that shape.
     """
     q = _split_heads(T.matmul(q_src, proj.w_q), proj.n_heads, proj.key_dim)
     k = _split_heads(T.matmul(kv_src, proj.w_e), proj.n_heads, proj.key_dim)
     v = _split_heads(T.matmul(kv_src, proj.w_v), proj.n_heads, proj.value_dim)
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.ndim == 3:
-            # (batch, n_q, n_k): insert the head axis.  Masks with more dims
-            # are taken as-is; the caller has already placed the head axis.
-            mask = np.expand_dims(mask, -3)
     att = scaled_dot_attention(q, k, v, mask=mask, topk=topk)
     out = T.matmul(_merge_heads(att.values), proj.w_o)
     return AttentionOutput(values=out, weights=att.weights)

@@ -3,6 +3,13 @@
 Configs load from YAML files and from checkpoint metadata through
 ``from_dict``.  ``validate`` enforces the cross-field rules the hosts rely on;
 it runs before any compute is spent.
+
+A field exists only for a value some caller sets.  What the task fixes (the
+class count, the image channels) is a read-only property derived from
+``task``.  Keys removed from the config are listed in ``RETIRED`` with the
+one value every model ran with, or ``ANY`` when no model read them: files
+and checkpoints written before a removal still load when they hold that
+value, and any other value is a ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from pathlib import Path
 
 import yaml
 
+from . import tasks
 from .errors import ConfigError
 
 CONFIG_VERSION = 1
@@ -20,9 +28,14 @@ CONFIG_VERSION = 1
 HOSTS = ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa", "rims_sw", "tims_sw")
 TASKS = ("triangles", "soc", "copy")
 
-# Keys that no model ever read, removed from ModelConfig; checkpoints and
-# config files written before their removal still carry them.
-RETIRED_KEYS = ("include_memory_rows", "rims_steps")
+ANY = object()   # a retired key that no model read: any stored value loads
+
+# Keys removed from ModelConfig, mapped to the value every model ran with:
+# the workspace writes once, layer sharing follows the host, TIMs runs one
+# monolithic block on each side, and the task sets classes and channels.
+RETIRED = {"rims_steps": ANY, "include_memory_rows": ANY, "n_write_iters": 1,
+           "share_layer_params": None, "tims_mono_layers": 1,
+           "n_classes": ANY, "n_channels": ANY}
 
 
 @dataclass
@@ -34,7 +47,6 @@ class ModelConfig:
 
     # architecture
     n_layers: int = 4
-    share_layer_params: bool | None = None   # None: host default
     n_h: int = 64
     ffn_dim: int = 128
     n_heads: int = 4          # pairwise self-attention heads
@@ -54,13 +66,10 @@ class ModelConfig:
     # modular hosts
     n_s: int = 4              # RIMs specialists / TIMs mechanisms
     n_sel: int = 2
-    tims_mono_layers: int = 1  # monolithic layers before and after the modular stack
 
     # vision tasks
     image_size: int = 32
     patch_size: int = 8
-    n_channels: int = 1
-    n_classes: int = 2
 
     # copy task
     vocab_size: int = 8
@@ -75,9 +84,16 @@ class ModelConfig:
     test_n: int = 2000
 
     def resolved_share_layers(self) -> bool:
-        if self.share_layer_params is not None:
-            return self.share_layer_params
         return self.host != "tr_hc"   # high-capacity variant has per-layer parameters
+
+    @property
+    def n_classes(self) -> int:
+        """Output width: the task's classes, or the copy LM's vocabulary."""
+        return {"triangles": 2, "soc": len(tasks.SOC_ANSWERS)}.get(self.task, self.vocab_size)
+
+    @property
+    def n_channels(self) -> int:
+        return tasks.SOC_RGB.shape[1] if self.task == "soc" else 1
 
     @property
     def slot_dim(self) -> int:
@@ -123,17 +139,16 @@ def validate(cfg: ModelConfig) -> ModelConfig:
 def from_dict(data, overrides: dict | None = None) -> ModelConfig:
     """Build and validate a config from a mapping, applying overrides last.
 
-    Retired keys are dropped; any other unknown key is a ConfigError.
+    Retired keys holding their run value are dropped; a retired key holding
+    another value, or any other unknown key, is a ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
-    data = {k: v for k, v in data.items() if k not in RETIRED_KEYS}
-    # Configs saved before n_write_iters was removed carry it as 1, the only
-    # value any model ran; the workspace now always writes once.
-    n_write_iters = data.pop("n_write_iters", 1)
-    if n_write_iters != 1:
-        raise ConfigError(f"n_write_iters={n_write_iters!r} is not supported: "
-                          "the workspace writes once")
+    for key, run_value in RETIRED.items():
+        if key in data and run_value is not ANY and data[key] != run_value:
+            raise ConfigError(f"{key}={data[key]!r} is not supported: every model "
+                              f"runs with {run_value!r}")
+    data = {k: v for k, v in data.items() if k not in RETIRED}
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(data) - known
     if unknown:

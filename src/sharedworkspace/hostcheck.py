@@ -56,11 +56,6 @@ def toy_batch(cfg: ModelConfig, seed: int = 10) -> tuple:
         n_t = cfg.seq_len
         tokens = rng.integers(0, cfg.vocab_size, size=(2, n_t))
         return (tokens, rng.integers(0, cfg.vocab_size, size=(2, n_t)))
-    if cfg.host == "rims_sw":
-        side = cfg.image_size // cfg.patch_size
-        in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-        frames = rng.random((2, side, side, in_dim))
-        return (frames, rng.integers(0, cfg.n_classes, size=2))
     images = rng.random((2, cfg.image_size, cfg.image_size))
     return (images, rng.integers(0, cfg.n_classes, size=2))
 

@@ -33,6 +33,7 @@ from . import tensor as T
 from .attention import ProjectionSet, multihead, scaled_dot_attention, topk_select
 from .config import ModelConfig, validate
 from .errors import ConfigError
+from .tasks import SOC_QUESTION_BITS
 from .tensor import Tensor
 from .workspace import SharedWorkspace, WorkspaceState
 
@@ -215,8 +216,6 @@ class TransformerClassifier(_TransformerStack):
     all read from it.
     """
 
-    QUESTION_BITS = 11
-
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "transformer classifier")
         n_h = cfg.n_h
@@ -225,22 +224,22 @@ class TransformerClassifier(_TransformerStack):
         self.embed = Dense(rng, patch_dim, n_h, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, n_h), 0.02, dtype, "pos")
         self.cls = T.uniform_init(rng, (1, n_h), 0.02, dtype, "cls")
-        self.q_embed = Dense(rng, self.QUESTION_BITS, n_h, dtype, "question") \
+        self.q_embed = Dense(rng, SOC_QUESTION_BITS, n_h, dtype, "question") \
             if cfg.task == "soc" else None
         super().__init__(cfg, rng, dtype, cfg.n_classes)
-        self.last_attention = []   # per-stage write/read maps from the last forward
+        self.last_attention = []   # per-stage write maps from the last forward
 
     def forward(self, images: np.ndarray, question: np.ndarray | None = None,
                 rng=None) -> Tensor:
         """Logits (B, n_classes).  ``rng`` enables dropout (training mode)."""
         cfg = self.cfg
+        if self.q_embed is not None and question is None:
+            raise ConfigError("this task binding requires a question vector")
         patches = patchify(np.asarray(images, dtype=self.dtype), cfg.patch_size)
         b = patches.shape[0]
         cls = T.add(T.zeros((b, 1, cfg.n_h), self.dtype), self.cls)
         parts = [cls, self.embed(Tensor(patches))]
         if self.q_embed is not None:
-            if question is None:
-                raise ConfigError("this task binding requires a question vector")
             q = self.q_embed(Tensor(np.asarray(question, dtype=self.dtype)))
             parts.append(T.reshape(q, (b, 1, cfg.n_h)))
         self.last_attention = []
@@ -250,13 +249,9 @@ class TransformerClassifier(_TransformerStack):
     def _workspace_step(self, state: WorkspaceState, xn: Tensor):
         cand, w_att = self.workspace.write_step(state, xn, topk=self._topk)
         state = self.workspace.gated_update(state, cand, xn)
-        r_att = multihead(xn, state.memory, self.workspace.read_proj)
-        self.last_attention.append({
-            "stage": len(self.last_attention),
-            "write": _mean_over_heads(w_att.weights),
-            "read": _mean_over_heads(r_att.weights),
-        })
-        return state, r_att.values
+        self.last_attention.append({"stage": len(self.last_attention),
+                                    "write": _mean_over_heads(w_att.weights)})
+        return state, multihead(xn, state.memory, self.workspace.read_proj).values
 
 
 class CausalTransformerLM(_TransformerStack):
@@ -388,15 +383,16 @@ def rims_sw_step(cell: RimsCell, ws: SharedWorkspace, state: WorkspaceState,
 
 
 class RimsModel(T.Module):
-    """Sequence classifier: an input projection feeding recurrent specialists
-    that communicate through the shared workspace at every time step."""
+    """Image classifier: the image is read as a sequence of patch rows, one
+    time step per row of patches, and an input projection feeds recurrent
+    specialists that communicate through the shared workspace at every step."""
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32, in_dim=None):
+    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         rng = _checked_rng(cfg, rng, ("rims_sw",), "recurrent-specialist model")
         self.cfg = cfg
         self.dtype = dtype
-        in_dim = cfg.n_h if in_dim is None else in_dim
-        self.encoder = Dense(rng, in_dim, cfg.n_h, dtype, "encoder")
+        patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
+        self.encoder = Dense(rng, patch_dim, cfg.n_h, dtype, "encoder")
         self.cell = RimsCell(rng, cfg.n_s, cfg.n_h, cfg.n_h, cfg.n_sel,
                              key_dim=cfg.key_dim, dtype=dtype)
         self.workspace = SharedWorkspace(
@@ -407,17 +403,20 @@ class RimsModel(T.Module):
         self.h0 = T.uniform_init(rng, (cfg.n_s, cfg.n_h), 0.02, dtype, "h0")
         self.head = Dense(rng, cfg.n_s * cfg.n_h, cfg.n_classes, dtype, "head")
 
-    def forward(self, x_seq: np.ndarray, rng=None) -> Tensor:
-        """Logits (B, n_classes) from input frames (B, steps, rows, in_dim)."""
-        x = np.asarray(x_seq, dtype=self.dtype)
-        b, steps = x.shape[0], x.shape[1]
-        h = T.add(T.zeros((b, self.cfg.n_s, self.cfg.n_h), self.dtype), self.h0)
+    def forward(self, images: np.ndarray, rng=None) -> Tensor:
+        """Logits (B, n_classes).  ``rng`` enables dropout (training mode)."""
+        cfg = self.cfg
+        side = cfg.image_size // cfg.patch_size
+        p = patchify(np.asarray(images, dtype=self.dtype), cfg.patch_size)
+        b = p.shape[0]
+        frames = p.reshape(b, side, side, p.shape[-1])
+        h = T.add(T.zeros((b, cfg.n_s, cfg.n_h), self.dtype), self.h0)
         state = self.workspace.reset((b,))
-        for t in range(steps):
-            z = self.encoder(Tensor(x[:, t]))
+        for t in range(side):
+            z = self.encoder(Tensor(frames[:, t]))
             h, state, _ = rims_sw_step(self.cell, self.workspace, state, z, h)
-        flat = T.reshape(h, (b, self.cfg.n_s * self.cfg.n_h))
-        return self.head(T.dropout(flat, self.cfg.dropout, rng))
+        flat = T.reshape(h, (b, cfg.n_s * cfg.n_h))
+        return self.head(T.dropout(flat, cfg.dropout, rng))
 
 
 # ---- mechanism-partitioned transformer (TIMs host) ---------------------------
@@ -516,8 +515,8 @@ class TimsModel(T.Module):
                 "ffn": FeedForward(rng, d, cfg.ffn_dim, dtype, f"{prefix}.ffn"),
             }
 
-        self.mono_in = mono_block("mono_in")      # shared across the leading layers
-        self.mono_out = mono_block("mono_out")    # shared across the trailing layers
+        self.mono_in = mono_block("mono_in")      # before the modular stack
+        self.mono_out = mono_block("mono_out")    # after it
         self.modular = TimsLayer(rng, n_b, dm, cfg.n_sel, cfg.slot_dim,
                                  max(cfg.ffn_dim // n_b, 4), n_heads=cfg.n_heads,
                                  key_dim=cfg.key_dim, value_dim=cfg.value_dim,
@@ -544,16 +543,14 @@ class TimsModel(T.Module):
         mask = causal_mask(n_t)
         drop = lambda x: T.dropout(x, cfg.dropout, rng)
 
-        for _ in range(cfg.tims_mono_layers):
-            h = self._mono(self.mono_in, h, mask, drop)
+        h = self._mono(self.mono_in, h, mask, drop)
         state = self.workspace.reset((b, n_t))
         self.last_selection = []
         for _ in range(cfg.n_layers):
             h, state, sel = tims_sw_layer(self.modular, self.workspace, state, h,
                                           causal=True, rng=rng, dropout=cfg.dropout)
             self.last_selection.append(sel.indices)
-        for _ in range(cfg.tims_mono_layers):
-            h = self._mono(self.mono_out, h, mask, drop)
+        h = self._mono(self.mono_out, h, mask, drop)
         return self.head(self.final_ln(h))
 
 
@@ -561,12 +558,8 @@ class TimsModel(T.Module):
 
 
 def build_model(cfg: ModelConfig, rng=None, dtype=np.float32):
-    validate(cfg)
     if cfg.host == "rims_sw":
-        in_dim = None
-        if cfg.task in ("triangles", "soc"):
-            in_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-        return RimsModel(cfg, rng, dtype, in_dim=in_dim)
+        return RimsModel(cfg, rng, dtype)
     if cfg.host == "tims_sw":
         return TimsModel(cfg, rng, dtype)
     if cfg.task == "copy":

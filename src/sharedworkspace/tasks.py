@@ -37,6 +37,7 @@ SOC_RGB = np.array([
     [1.0, 0.5, 0.0], [0.5, 0.5, 0.5], [1.0, 1.0, 0.0],
 ], dtype=np.float32)
 SOC_QUESTION_BITS = 11   # 6 color + 2 type + 3 subtype
+SOC_RELATIONAL_BIT = 7   # type one-hot: bit 6 non-relational, bit 7 relational
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -143,14 +144,14 @@ def encode_question(color: int, relational: bool, subtype: int) -> np.ndarray:
     """11-bit code: 6 color one-hot, 2 type one-hot, 3 subtype one-hot."""
     q = np.zeros(SOC_QUESTION_BITS, dtype=np.uint8)
     q[color] = 1
-    q[6 + (1 if relational else 0)] = 1
+    q[SOC_RELATIONAL_BIT if relational else SOC_RELATIONAL_BIT - 1] = 1
     q[8 + subtype] = 1
     return q
 
 
 def decode_question(q: np.ndarray):
     q = np.asarray(q)
-    return int(q[:6].argmax()), bool(q[7]), int(q[8:11].argmax())
+    return int(q[:6].argmax()), bool(q[SOC_RELATIONAL_BIT]), int(q[8:11].argmax())
 
 
 def answer_question(shapes: np.ndarray, centers: np.ndarray, image_size: int,

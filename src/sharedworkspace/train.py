@@ -17,22 +17,18 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig, from_dict, validate
 from .errors import ConfigError
-from .models import RimsModel, build_model, patchify
+from .models import build_model
 from .optim import Adam, NumericError, cosine_lr
 from .serialization import CheckpointError, MetricsWriter, load_checkpoint, save_checkpoint
-from .tasks import (copy_loss_mask, gen_copy, gen_sort_of_clevr, gen_triangles,
-                    load_dataset, save_dataset)
+from .tasks import (SOC_RELATIONAL_BIT, copy_loss_mask, gen_copy, gen_sort_of_clevr,
+                    gen_triangles, load_dataset, save_dataset)
 
 # Offset separating the test-set seed stream from the train-set stream.
 TEST_SEED_OFFSET = 100_003
 
 
 def resolve_task_fields(cfg: ModelConfig) -> ModelConfig:
-    """Pin the config fields the task dictates (classes, channels)."""
-    if cfg.task == "triangles":
-        cfg = dataclasses.replace(cfg, n_classes=2, n_channels=1)
-    elif cfg.task == "soc":
-        cfg = dataclasses.replace(cfg, n_classes=12, n_channels=3)
+    """Check that the host runs on the configured task, then validate."""
     if cfg.host == "rims_sw" and cfg.task != "triangles":
         raise ConfigError("the recurrent-specialist host is bound to the triangles task")
     if cfg.host == "tims_sw" and cfg.task != "copy":
@@ -41,12 +37,10 @@ def resolve_task_fields(cfg: ModelConfig) -> ModelConfig:
 
 
 def _dataset_name(cfg: ModelConfig, n: int, seed: int) -> str:
-    if cfg.task == "triangles":
-        tag = f"is{cfg.image_size}"
-    elif cfg.task == "soc":
-        tag = f"is{cfg.image_size}"
-    else:
+    if cfg.task == "copy":
         tag = f"v{cfg.vocab_size}-l{cfg.copy_len}"
+    else:
+        tag = f"is{cfg.image_size}"
     return f"{cfg.task}-{tag}-n{n}-seed{seed}.swds"
 
 
@@ -108,17 +102,6 @@ def masked_cross_entropy(logits: T.Tensor, targets: np.ndarray, mask: np.ndarray
     return T.mul(T.tsum(T.mul(picked, w)), -1.0 / max(float(w.sum()), 1.0))
 
 
-def _vision_logits(model, cfg: ModelConfig, images, question, rng):
-    if isinstance(model, RimsModel):
-        # Feed the image as a sequence of patch rows: one time step per row
-        # of patches, one input row per patch.
-        side = cfg.image_size // cfg.patch_size
-        p = patchify(np.asarray(images, dtype=model.dtype), cfg.patch_size)
-        frames = p.reshape(p.shape[0], side, side, p.shape[-1])
-        return model.forward(frames, rng=rng)
-    return model.forward(images, question=question, rng=rng)
-
-
 def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
     """Loss tensor plus a per-unit correctness vector (units: examples for
     the classifiers, echo-region tokens for the copy task)."""
@@ -133,10 +116,10 @@ def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
         return loss, correct
     if cfg.task == "soc":
         targets = batch["answers"]
-        logits = _vision_logits(model, cfg, batch["images"], batch["questions"], rng)
+        logits = model.forward(batch["images"], question=batch["questions"], rng=rng)
     else:
         targets = batch["labels"]
-        logits = _vision_logits(model, cfg, batch["images"], None, rng)
+        logits = model.forward(batch["images"], rng=rng)
     loss = T.cross_entropy(logits, targets)
     correct = logits.data.argmax(axis=-1) == targets
     return loss, correct
@@ -167,7 +150,7 @@ def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
         n_units += len(correct)
         correct_all.append(correct)
         if cfg.task == "soc":
-            rel_all.append(batch["questions"][:, 7] == 1)
+            rel_all.append(batch["questions"][:, SOC_RELATIONAL_BIT] == 1)
     correct = np.concatenate(correct_all)
     out = {"loss": total_loss / n_units, "accuracy": float(correct.mean())}
     if cfg.task == "soc":

@@ -119,6 +119,27 @@ def test_unknown_override_exits_1(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_override_of_a_task_derived_value_exits_1(tmp_path, capsys):
+    # The task sets the class count; an override cannot change it.
+    code, out = run_small_train(tmp_path, "--set", "n_classes=5")
+    assert code == EXIT_CONFIG
+    assert "n_classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("tims_mono_layers", "2"),
+                                       ("share_layer_params", "false")])
+def test_config_file_with_retired_key_at_another_value_exits_1(tmp_path, capsys,
+                                                               key, value):
+    cfg_file = tmp_path / "old.yaml"
+    cfg_file.write_text(f"{key}: {value}\n")
+    code, out = run_small_train(tmp_path, "--config", str(cfg_file))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_ablation_flags_flow_into_config():
     parser = build_parser()
     args = parser.parse_args(["train", "--host", "tr_ssw", "--no-persistence",
@@ -241,6 +262,16 @@ def test_eval_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and "bogus_key" in err
+
+
+@pytest.mark.parametrize("key,value", [("tims_mono_layers", 2),
+                                       ("share_layer_params", False)])
+def test_eval_checkpoint_with_retired_key_at_another_value_exits_1(tmp_path, capsys,
+                                                                   key, value):
+    path = write_checkpoint(tmp_path / "old.ckpt", **{key: value})
+    assert main(["eval", "--checkpoint", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
 
 
 # ---- gradcheck ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -15,7 +16,7 @@ from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     patchify, prefix_mean_matrix, rims_sw_step,
                                     tims_sw_layer)
 from sharedworkspace.tensor import Tensor
-from sharedworkspace.train import resolve_task_fields
+from sharedworkspace.train import batch_loss, resolve_task_fields
 from sharedworkspace.workspace import SharedWorkspace
 
 
@@ -49,6 +50,30 @@ def test_nsel_bounded_by_ns():
 def test_layer_sharing_defaults():
     assert toy("tr").resolved_share_layers()
     assert not toy("tr_hc").resolved_share_layers()
+
+
+# The settable surface of a run.  Every field is a value some caller sets;
+# what the task fixes is a property and a removed key goes to config.RETIRED.
+# Adding or removing a knob therefore edits this tuple, a reviewed change
+# that CHANGES.md names.
+CONFIG_FIELDS = (
+    "host", "task", "seed", "version",
+    "n_layers", "n_h", "ffn_dim", "n_heads", "mem_heads", "key_dim", "value_dim",
+    "dropout", "n_m", "n_l", "topk", "gate_style", "persistent_memory", "sw_plus_sa",
+    "n_s", "n_sel", "image_size", "patch_size", "vocab_size", "copy_len",
+    "epochs", "batch_size", "lr", "cosine", "train_n", "test_n",
+)
+
+
+def test_config_fields_pinned():
+    assert tuple(f.name for f in dataclasses.fields(ModelConfig)) == CONFIG_FIELDS
+
+
+@pytest.mark.parametrize("task,derived", [("triangles", (2, 1)), ("soc", (12, 3)),
+                                          ("copy", (5, 1))])
+def test_task_derived_values(task, derived):
+    cfg = toy("tr", task=task)   # unresolved: the values follow from the task alone
+    assert (cfg.n_classes, cfg.n_channels) == derived
 
 
 # ---- patchify ----------------------------------------------------------------
@@ -530,3 +555,26 @@ def test_recurrent_and_mechanism_host_init_pinned_by_name(host):
         digest.update(f"{name} {p.shape} {p.dtype}\n".encode())
         digest.update(np.ascontiguousarray(p.data).tobytes())
     assert digest.hexdigest() == INIT_BY_NAME[host]
+
+
+# One training-mode batch_loss (dropout 0.1) and backward on the toy rims_sw
+# config over a 16x16 triangles batch: the float32 loss bytes, and SHA-256
+# over "name" and the gradient bytes of every parameter in name order.
+RIMS_LOSS_BYTES = "4b0d313f"
+RIMS_GRAD_SHA = "fe53b76d44f00873dc495fffc485c9d2392b03b32c19d8d3d3bae8b163d3fa30"
+
+
+def test_rims_training_loss_and_gradients_pinned():
+    cfg = resolve_task_fields(toy_config("rims_sw", dropout=0.1))
+    model = build_model(cfg)
+    rng = np.random.default_rng(1)
+    batch = {"images": rng.random((3, cfg.image_size, cfg.image_size)),
+             "labels": rng.integers(0, cfg.n_classes, size=3)}
+    loss, _ = batch_loss(model, cfg, batch, rng=np.random.default_rng(2))
+    loss.backward()
+    digest = hashlib.sha256()
+    for name, p in sorted(model.parameters().items()):
+        digest.update(name.encode())
+        digest.update(p.grad.tobytes())
+    assert loss.data.tobytes().hex() == RIMS_LOSS_BYTES
+    assert digest.hexdigest() == RIMS_GRAD_SHA

@@ -27,8 +27,11 @@ def small_cfg(**kw):
     return ModelConfig(**base)
 
 
-# Config keys that checkpoints written before their removal still carry.
-RETIRED = {"rims_steps": 4, "include_memory_rows": False, "n_write_iters": 1}
+# Config keys that checkpoints written before their removal still carry, at
+# the values run_training wrote for small_cfg.
+RETIRED = {"rims_steps": 4, "include_memory_rows": False, "n_write_iters": 1,
+           "share_layer_params": None, "tims_mono_layers": 1, "n_classes": 2,
+           "n_channels": 1}
 
 
 def stripped_metrics(path):
@@ -188,6 +191,13 @@ def test_checkpoint_with_retired_keys_gives_same_logits(tmp_path):
 def test_n_write_iters_other_than_one_rejected(value):
     with pytest.raises(ConfigError, match="n_write_iters"):
         from_dict({"host": "tr", "n_write_iters": value})
+
+
+def test_retired_task_values_are_ignored():
+    # Every checkpoint written while these were fields holds the task's value
+    # or, for the copy hosts, an unread one.
+    cfg = from_dict({"host": "tr", "task": "copy", "n_classes": 2, "n_channels": 1})
+    assert cfg == ModelConfig(host="tr", task="copy") and cfg.n_classes == cfg.vocab_size
 
 
 def test_checkpoint_bytes_pinned(tmp_path):

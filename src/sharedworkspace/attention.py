@@ -167,7 +167,8 @@ def multihead(q_src: Tensor, kv_src: Tensor, proj: ProjectionSet, mask=None,
     Queries come from ``q_src`` (..., n_q, q_dim) and keys/values from
     ``kv_src`` (..., n_k, kv_dim).  Head outputs are concatenated and
     projected to ``proj.out_dim``.  Returned weights have shape
-    (..., H, n_q, n_k), and ``mask`` broadcasts to that shape.
+    (..., H, n_q, n_k), and ``mask`` broadcasts to that shape.  Weights with
+    a leading stack axis pair it with the inputs' last batch axis.
     """
     q = _split_heads(T.matmul(q_src, proj.w_q), proj.n_heads, proj.key_dim)
     k = _split_heads(T.matmul(kv_src, proj.w_e), proj.n_heads, proj.key_dim)

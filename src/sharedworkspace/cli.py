@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .bench import fit_loglog_slope, run_scaling, write_csv
-from .config import HOSTS, ModelConfig, from_yaml
+from .config import HOSTS, TASKS, ModelConfig, from_yaml
 from .errors import ConfigError
 from .gradcheck import NonDeterministicError
 from .hostcheck import check_all_hosts, host_grad_check
@@ -198,7 +198,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="config override (repeatable)")
     p.add_argument("--host", choices=HOSTS)
-    p.add_argument("--task", choices=("triangles", "soc", "copy"))
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--seed", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--no-persistence", action="store_true", dest="no_persistence",
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a dataset file")
-    p.add_argument("--task", required=True, choices=("triangles", "soc", "copy"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -119,6 +119,13 @@ def validate(cfg: ModelConfig) -> ModelConfig:
         raise ConfigError(f"config version {cfg.version} unsupported (expected {CONFIG_VERSION})")
     if cfg.host == "tr_hsw" and cfg.topk is None:
         raise ConfigError("tr_hsw requires topk")
+    # Ablation values a host would ignore are rejected, so that a run's
+    # recorded config is the one it ran.
+    if cfg.topk is not None and cfg.host != "tr_hsw":
+        raise ConfigError(f"topk applies only to tr_hsw, not {cfg.host}")
+    if (not cfg.persistent_memory or cfg.sw_plus_sa) and cfg.host not in ("tr_ssw", "tr_hsw"):
+        raise ConfigError(f"persistent_memory=False and sw_plus_sa apply only to "
+                          f"tr_ssw and tr_hsw, not {cfg.host}")
     if cfg.host == "rims_sw" and cfg.n_sel > cfg.n_s:
         raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
     if cfg.host == "tims_sw" and cfg.n_h % cfg.n_s != 0:

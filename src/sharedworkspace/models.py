@@ -42,13 +42,12 @@ from .workspace import SharedWorkspace, WorkspaceState
 
 
 class Dense(T.Module):
-    def __init__(self, rng, fan_in, fan_out, dtype=np.float32, prefix="dense", bias=True):
+    def __init__(self, rng, fan_in, fan_out, dtype=np.float32, prefix="dense"):
         self.w = T.linear_init(rng, fan_in, fan_out, dtype, f"{prefix}.w")
-        self.b = T.zeros((fan_out,), dtype, requires_grad=True, name=f"{prefix}.b") if bias else None
+        self.b = T.zeros((fan_out,), dtype, requires_grad=True, name=f"{prefix}.b")
 
     def __call__(self, x):
-        y = T.matmul(x, self.w)
-        return T.add(y, self.b) if self.b is not None else y
+        return T.add(T.matmul(x, self.w), self.b)
 
 
 class LayerNorm(T.Module):
@@ -109,11 +108,8 @@ def _checked_rng(cfg: ModelConfig, rng, hosts, kind: str):
 
 
 def _mean_over_heads(weights: Tensor) -> np.ndarray:
-    w = weights.data
-    # (..., H, n_q, n_k) -> first batch element, mean over heads.
-    while w.ndim > 3:
-        w = w[0]
-    return w.mean(axis=0)
+    # (B, H, n_q, n_k) -> first batch element, mean over heads.
+    return weights.data[0].mean(axis=0)
 
 
 # ---- transformer hosts -------------------------------------------------------
@@ -432,11 +428,16 @@ class TimsLayer(T.Module):
         if n_sel > n_b:
             raise ConfigError(f"n_sel={n_sel} exceeds n_b={n_b}")
         self.n_b, self.dm, self.n_sel, self.n_l = n_b, dm, n_sel, n_l
-        self.dtype = dtype
         si = 1.0 / np.sqrt(dm)
         self.w_c = T.uniform_init(rng, (n_b, dm), si, dtype, f"{prefix}.w_c")
-        self.sa = [ProjectionSet(rng, dm, dm, dm, n_heads, key_dim, value_dim,
-                                 dtype, f"{prefix}.mech{k}.sa") for k in range(n_b)]
+        # Each mechanism's projections are drawn in turn, then stacked into
+        # one set with (n_b, ., .) weights that runs them side by side.
+        mechs = [ProjectionSet(rng, dm, dm, dm, n_heads, key_dim, value_dim, dtype)
+                 for _ in range(n_b)]
+        self.sa = mechs[0]
+        for w in ("w_q", "w_e", "w_v", "w_o"):
+            setattr(self.sa, w, Tensor(np.stack([getattr(m, w).data for m in mechs]),
+                                       requires_grad=True, name=f"{prefix}.sa.{w}"))
         self.ln1 = LayerNorm((n_b, dm), dtype, f"{prefix}.ln1")
         self.ln2 = LayerNorm((n_b, dm), dtype, f"{prefix}.ln2")
         self.w_a = T.linear_init(rng, n_b * dm, n_l, dtype, f"{prefix}.w_a")
@@ -462,14 +463,11 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     sel = topk_select(scores.data, layer.n_sel)
     c_star = T.masked_softmax_retain(scores, sel.keep_mask, axis=-1)
 
-    # Step 2: selected mechanisms self-attend over positions, residual.
+    # Step 2: selected mechanisms self-attend over positions, residual.  All
+    # mechanisms run in one call on the mechanism-major view (B, n_b, T, dm).
     mask = causal_mask(n_t) if causal else None
-    xn = layer.ln1(hm)
-    att_cols = []
-    for k in range(n_b):
-        col = multihead(xn[:, :, k], xn[:, :, k], layer.sa[k], mask=mask).values
-        att_cols.append(T.reshape(col, (b, n_t, 1, dm)))
-    att = T.concat(att_cols, axis=-2)                    # (B, T, n_b, dm)
+    xs = T.swapaxes(layer.ln1(hm), 1, 2)
+    att = T.swapaxes(multihead(xs, xs, layer.sa, mask=mask).values, 1, 2)
     scale = T.reshape(c_star, (b, n_t, n_b, 1))
     h_bar = T.add(hm, T.dropout(T.mul(scale, att), dropout, rng))
 
@@ -484,11 +482,10 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     read = multihead(h_bar, state.memory, ws.read_proj)  # (B, T, n_b, dm)
     h_out = T.add(h_bar, T.dropout(read.values, dropout, rng))
 
-    # Per-mechanism feed-forward, pre-norm residual.
-    y = layer.ln2(h_out)
-    y = T.matmul(T.relu(T.matmul(T.reshape(y, (b, n_t, n_b, 1, dm)), layer.ffn_w1)),
-                 layer.ffn_w2)
-    h_out = T.add(h_out, T.dropout(T.reshape(y, (b, n_t, n_b, dm)), dropout, rng))
+    # Per-mechanism feed-forward on the same view, pre-norm residual.
+    y = T.swapaxes(layer.ln2(h_out), 1, 2)
+    y = T.matmul(T.relu(T.matmul(y, layer.ffn_w1)), layer.ffn_w2)
+    h_out = T.add(h_out, T.dropout(T.swapaxes(y, 1, 2), dropout, rng))
     return T.reshape(h_out, (b, n_t, d)), state, sel
 
 
@@ -499,7 +496,6 @@ class TimsModel(T.Module):
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         rng = _checked_rng(cfg, rng, ("tims_sw",), "mechanism-partitioned model")
         self.cfg = cfg
-        self.dtype = dtype
         d, n_b = cfg.n_h, cfg.n_s
         dm = d // n_b
         self.max_tokens = cfg.seq_len

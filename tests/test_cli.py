@@ -140,6 +140,19 @@ def test_config_file_with_retired_key_at_another_value_exits_1(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,key", [
+    (("--topk", "2"), "topk"),
+    (("--host", "rims_sw", "--no-persistence"), "persistent_memory"),
+    (("--host", "tr", "--sw-plus-sa"), "sw_plus_sa")])
+def test_ablation_flag_the_host_ignores_exits_1(tmp_path, capsys, flags, key):
+    # tr_ssw has no top-k; rims_sw and tr ignore the two workspace ablations.
+    code, out = run_small_train(tmp_path, *flags)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_ablation_flags_flow_into_config():
     parser = build_parser()
     args = parser.parse_args(["train", "--host", "tr_ssw", "--no-persistence",

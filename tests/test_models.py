@@ -19,6 +19,8 @@ from sharedworkspace.tensor import Tensor
 from sharedworkspace.train import batch_loss, resolve_task_fields
 from sharedworkspace.workspace import SharedWorkspace
 
+from test_host_pinning import tape_size
+
 
 def toy(host, task="triangles", **kw):
     base = dict(host=host, task=task, n_layers=2, n_h=8, ffn_dim=16, n_heads=2,
@@ -400,14 +402,14 @@ def test_tims_layer_matches_straight_line_oracle():
 
     xn = ln(hm, layer.ln1.g.data, layer.ln1.b.data)
     att = np.zeros_like(hm)
+    p = layer.sa
     for k in range(n_b):
-        p = layer.sa[k]
         for bi in range(b):
-            q = xn[bi, :, k] @ p.w_q.data
-            kk = xn[bi, :, k] @ p.w_e.data
-            v = xn[bi, :, k] @ p.w_v.data
+            q = xn[bi, :, k] @ p.w_q.data[k]
+            kk = xn[bi, :, k] @ p.w_e.data[k]
+            v = xn[bi, :, k] @ p.w_v.data[k]
             s = softmax_np(q @ kk.T / math.sqrt(p.key_dim), axis=-1)
-            att[bi, :, k] = (s @ v) @ p.w_o.data
+            att[bi, :, k] = (s @ v) @ p.w_o.data[k]
     h_bar = hm + c_star[..., None] * att
 
     a = (c_star[..., None] * h_bar).reshape(b, n_t, n_b * dm)
@@ -452,6 +454,31 @@ def test_tims_causality_bitwise():
         other = toks.copy()
         other[:, t:] = rng.integers(0, 5, size=other[:, t:].shape)
         assert (m.forward(other).data[:, :t] == base[:, :t]).all()
+
+
+def test_tims_layer_gradcheck_every_entry():
+    # The host check probes 4 entries per tensor, so it sees only a few of
+    # the stacked mechanisms' projection weights; this one probes them all.
+    from sharedworkspace.attention import SelectionPin, pinned_selections
+
+    layer, ws, h = tims_setup(n_sel=2)
+    params = {**layer.parameters(), **ws.parameters()}
+    rng = np.random.default_rng(3)
+    # Away from the near-zero initial memory, where the read-path gradients
+    # sit below finite-difference roundoff.
+    ws.init_memory.data[:] = rng.normal(scale=0.5, size=ws.init_memory.shape)
+    w_out = Tensor(rng.normal(size=h.shape))
+    w_mem = Tensor(rng.normal(size=(2, 5, ws.n_m, ws.n_l)))
+    pin = SelectionPin()
+
+    def f(p):
+        with pinned_selections(pin):
+            pin.restart()
+            out, st, _ = tims_sw_layer(layer, ws, ws.reset((2, 5)), h, causal=True)
+        return T.add(T.tsum(T.mul(out, w_out)), T.tsum(T.mul(st.memory, w_mem)))
+
+    rep = grad_check(f, params, max_entries_per_param=None)
+    assert rep.passed, sorted(rep.per_param.items(), key=lambda kv: -kv[1])[:5]
 
 
 # ---- end-to-end gradient checks ----------------------------------------------
@@ -542,8 +569,13 @@ def test_each_leaf_parameter_listed_once():
 # name order: the same as before the listing order of these hosts changed.
 INIT_BY_NAME = {
     "rims_sw": "d97da51afce6a0c45707fe043e3528cdcbbabf45a6505fbc14f5e89e8b08f717",
-    "tims_sw": "2823a8e80cb24a21ea9be695f671487c0713b5606993177a3b4aacdebac0ab21",
+    "tims_sw": "6ce8af6e7cd9906b6513dc9f28642f1dfcfda5735d980d0fbbec15dde140361e",
 }
+
+# Backward closures recorded by one forward and cross-entropy on the host's
+# toy config and batch: the transformer hosts' tape guard in
+# test_host_pinning.py, extended to the two modular hosts.
+TAPE_BY_HOST = {"rims_sw": 216, "tims_sw": 248}
 
 
 @pytest.mark.parametrize("host", sorted(INIT_BY_NAME))
@@ -555,6 +587,14 @@ def test_recurrent_and_mechanism_host_init_pinned_by_name(host):
         digest.update(f"{name} {p.shape} {p.dtype}\n".encode())
         digest.update(np.ascontiguousarray(p.data).tobytes())
     assert digest.hexdigest() == INIT_BY_NAME[host]
+
+
+@pytest.mark.parametrize("host", sorted(TAPE_BY_HOST))
+def test_recurrent_and_mechanism_host_tape_pinned(host):
+    cfg = resolve_task_fields(toy_config(host))
+    batch = toy_batch(cfg)
+    loss = T.cross_entropy(build_model(cfg).forward(*batch[:-1]), batch[-1])
+    assert tape_size(loss) == TAPE_BY_HOST[host]
 
 
 # One training-mode batch_loss (dropout 0.1) and backward on the toy rims_sw
@@ -578,3 +618,19 @@ def test_rims_training_loss_and_gradients_pinned():
         digest.update(p.grad.tobytes())
     assert loss.data.tobytes().hex() == RIMS_LOSS_BYTES
     assert digest.hexdigest() == RIMS_GRAD_SHA
+
+
+# The same training-mode batch_loss on the toy tims_sw config (all
+# mechanisms active, and n_sel=2) over a copy batch: the float32 loss bytes.
+# Forward bytes only: the gradients' last bits depend on how the mechanisms'
+# products are batched.
+TIMS_LOSS_BYTES = {"all": "a0ffcf3f", "n_sel2": "7be2cc3f"}
+
+
+@pytest.mark.parametrize("case,kw", [("all", {}), ("n_sel2", {"n_sel": 2})])
+def test_tims_training_loss_pinned(case, kw):
+    cfg = resolve_task_fields(toy_config("tims_sw", dropout=0.1, **kw))
+    rng = np.random.default_rng(1)
+    batch = {"tokens": rng.integers(0, cfg.vocab_size, size=(3, cfg.seq_len + 1))}
+    loss, _ = batch_loss(build_model(cfg), cfg, batch, rng=np.random.default_rng(2))
+    assert loss.data.tobytes().hex() == TIMS_LOSS_BYTES[case]

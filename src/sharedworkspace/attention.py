@@ -8,6 +8,7 @@ score, and k == n reproduces the soft path bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +25,15 @@ class AttentionOutput:
 
 @dataclass
 class SelectionResult:
-    indices: np.ndarray     # (..., k), ascending within each row
-    keep_mask: np.ndarray   # 0/1 mask, shape of input
+    keep_mask: np.ndarray   # boolean, shape of the scores
+    k: int
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """(..., k), ascending within each row; read off the mask on first
+        use, since most callers need only the mask."""
+        flat = np.flatnonzero(self.keep_mask) % self.keep_mask.shape[-1]
+        return flat.reshape(self.keep_mask.shape[:-1] + (self.k,))
 
 
 class SelectionPin:
@@ -75,11 +83,11 @@ class pinned_selections:
 
 
 def topk_select(scores, k: int) -> SelectionResult:
-    """Indices of the k largest scores along the last axis, ascending.
+    """The k largest scores along the last axis; ties go to the lowest index.
 
-    Ties break toward the lowest index, as in a stable sort; the result is
-    deterministic.  A partition finds the k largest, and only rows whose
-    k-th score is tied fall back to a full stable sort.
+    One row sort gives the k-th largest as a threshold; only rows where it ties
+    a score left out, or that hold a NaN, are redone by stable argsort.  It
+    skips argpartition and per-row counts, slow on the workspace's short rows.
     """
     raw = scores.data if isinstance(scores, Tensor) else np.asarray(scores)
     n = raw.shape[-1]
@@ -87,21 +95,20 @@ def topk_select(scores, k: int) -> SelectionResult:
         raise ConfigError(f"top-k k={k} out of range for {n} scores")
 
     def compute():
-        neg = -raw
-        idx = np.argpartition(neg, k - 1, axis=-1)[..., :k]
-        kth = np.take_along_axis(neg, idx[..., k - 1:], axis=-1)
-        # Where the k-th score ties with one left out (or is NaN), the
-        # partition may have kept the wrong one of the tie: only those rows
-        # are redone by stable sort, which keeps the lowest indices.
-        tied = np.count_nonzero(neg <= kth, axis=-1) != k
-        if tied.any():
-            idx[tied] = np.argsort(neg[tied], axis=-1, kind="stable")[..., :k]
-        return np.sort(idx, axis=-1)
+        s = np.sort(raw, axis=-1)                  # NaN sorts last
+        keep = raw >= s[..., n - k, None]
+        redo = np.isnan(s[..., -1])
+        if k < n:
+            redo |= s[..., n - k - 1] >= s[..., n - k]
+        if redo.any():
+            rank = np.argsort(np.argsort(-raw[redo], axis=-1, kind="stable"), axis=-1)
+            keep[redo] = rank < k
+        return SelectionResult(keep, k)
 
-    idx = compute() if _active_pin is None else _active_pin.next_indices(compute)
-    mask = np.zeros_like(raw)
-    np.put_along_axis(mask, idx, 1.0, axis=-1)
-    return SelectionResult(indices=idx, keep_mask=mask)
+    if _active_pin is None:
+        return compute()
+    idx = _active_pin.next_indices(lambda: compute().indices)
+    return SelectionResult((idx[..., None] == np.arange(n)).any(axis=-2), k)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,

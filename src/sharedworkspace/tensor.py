@@ -13,7 +13,11 @@ bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
 into the contraction, so its last bits differ from a per-batch product summed
 afterwards.  Layer norm is one tape node with the analytic backward; its
-forward keeps the bits of the composed mean/variance arithmetic.  Layers
+forward keeps the bits of the composed mean/variance arithmetic.  Two
+numpy paths that cost several times their arithmetic are kept off the hot
+ops, with unchanged bits: a per-row reduction over short rows (the softmax
+row max is taken column by column instead) and ``np.where`` with a
+data-dependent mask (sigmoid uses one formula for both signs).  Layers
 that own parameters derive from ``Module``, which finds them by walking the
 layer's attributes.
 """
@@ -268,11 +272,16 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _astensor(a)
-    # Stable in both tails.
-    e = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if y.dtype != a.data.dtype:
-        y = y.astype(a.data.dtype)
+    # exp(min(x, 0)) / (1 + exp(-|x|)) is 1/(1+e) for x >= 0 and e/(1+e)
+    # below, e = exp(-|x|): stable in both tails, with no select on the sign
+    # of x.  fmin turns a NaN into 0, so the NaN reaches the quotient through
+    # the denominator alone and keeps the sign bit of the select form.
+    y = np.exp(np.fmin(a.data, 0))
+    d = np.abs(a.data)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    y /= d
     out = _make(y, (a,))
     if out.requires_grad:
         def _bw(g):
@@ -421,8 +430,29 @@ def matmul(a, b) -> Tensor:
 # ---- softmax family ---------------------------------------------------------
 
 
+# Rows at most this long take their max column by column (_row_max).  On
+# float32 arrays of 1024 and of 12288 rows the loop beat ``x.max`` at every
+# width up to 32 (24 wide, 12288 rows: 0.18 vs 0.93 ms); from 33 on it lost
+# at 1024 rows, and at 64 wide it was 2.7x slower.
+_SHORT_ROW = 32
+
+
+def _row_max(x, axis):
+    """``x.max(axis, keepdims=True)``.  numpy reduces each short row at several
+    times the cost of its arithmetic, so up to _SHORT_ROW columns an
+    elementwise maximum over the columns is faster.  Max is exact, so the
+    softmax built on either keeps its bits."""
+    cols = np.moveaxis(x, axis, 0)
+    if not 1 <= len(cols) <= _SHORT_ROW:
+        return x.max(axis=axis, keepdims=True)
+    top = np.array(cols[0])
+    for col in cols[1:]:
+        np.maximum(top, col, out=top)
+    return np.expand_dims(top, axis)
+
+
 def _softmax_forward(x, axis):
-    top = x.max(axis=axis, keepdims=True)
+    top = _row_max(x, axis)
     y = x - top
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
@@ -471,7 +501,7 @@ def masked_softmax_retain(a, keep_mask, axis=-1) -> Tensor:
 
 def log_softmax(a, axis=-1) -> Tensor:
     a = _astensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _row_max(a.data, axis)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
     out = _make(y, (a,))

@@ -130,6 +130,33 @@ def test_topk_matches_stable_sort(kind):
     assert (topk_select(raw, n).keep_mask == 1.0).all()
 
 
+def _nonfinite_scores(kind, rng):
+    """Rows with NaN, +-inf, signed zeros and ties at the -1e9 mask sentinel."""
+    m, nan, inf = T.MASK_VALUE, np.nan, np.inf
+    if kind == "1-d":
+        return np.array([nan, 1.0, inf, -inf, m, m, 1.0, -0.0, 0.0, nan, inf])
+    specials = np.array([nan, inf, -inf, m, 0.0, -0.0])
+    raw = rng.normal(size=(3, 4, 2, 2, 9))
+    pick = rng.random(raw.shape) < 0.3
+    raw[pick] = rng.choice(specials, size=pick.sum())
+    rows = raw.reshape(-1, raw.shape[-1])
+    rows[:len(specials)] = specials[:, None]      # rows of one special value
+    rows[len(specials)] = [1.0, 1.0] + [m] * 7    # causal prefix: tie at the sentinel
+    return raw
+
+
+@pytest.mark.parametrize("kind", ["1-d", "5-d"])
+def test_topk_matches_stable_sort_nonfinite(kind):
+    raw = _nonfinite_scores(kind, np.random.default_rng(14))
+    for k in range(1, raw.shape[-1] + 1):
+        sel = topk_select(raw, k)
+        expect = stable_sort_topk(raw, k)
+        np.testing.assert_array_equal(sel.indices, expect)
+        mask = np.zeros_like(raw)
+        np.put_along_axis(mask, expect, 1.0, axis=-1)
+        np.testing.assert_array_equal(sel.keep_mask, mask)
+
+
 def test_topk_replays_pinned_selection():
     rng = np.random.default_rng(13)
     first, second = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))

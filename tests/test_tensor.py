@@ -287,6 +287,19 @@ def test_backward_through_elementwise_chain_peaks_at_a_few_arrays():
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_select_form(dtype):
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.normal(size=400) * s for s in (1.0, 30.0, 1e3)]
+                       + [[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e3, -1e3]]).astype(dtype)
+    e = np.exp(-np.abs(x))
+    expect = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = T.sigmoid(Tensor(x)).data
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, expect)           # values and NaN positions
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
+
+
 # ---- softmax -----------------------------------------------------------------
 
 
@@ -334,6 +347,33 @@ def test_softmax_dead_rows_are_rows_entirely_at_the_sentinel():
         dead = (x <= m / 2).all(axis=axis)
         assert (sums[dead] == 0.0).all()
         assert not (sums[~dead] == 0.0).any()   # 1, or NaN for a row holding NaN
+
+
+def _softmax_by_full_max(x):
+    top = x.max(axis=-1, keepdims=True)
+    y = x - top
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    np.copyto(y, 0.0, where=top <= T.MASK_VALUE / 2)
+    shifted = x - top
+    return y, shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", [T._SHORT_ROW, T._SHORT_ROW + 1])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_row_max_is_bitwise_the_full_max(width, dtype):
+    """Rows as long as the column-wise max's cutoff and one longer, with an
+    all-masked row and a NaN row, give the bits of the ``x.max`` formula."""
+    x = np.random.default_rng(23).normal(size=(3, 5, width)).astype(dtype)
+    x[0, :2] = T.MASK_VALUE
+    x[0, 1, width // 2] = np.nan                  # a NaN among masked scores
+    x[1, 2, :width // 2] = T.MASK_VALUE
+    soft, log_soft = _softmax_by_full_max(x)
+    for got, expect in ((T.softmax(Tensor(x)).data, soft),
+                        (T.log_softmax(Tensor(x)).data, log_soft)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), expect.view(np.uint8))
+    assert (soft[0, 0] == 0.0).all() and np.isnan(soft[0, 1]).all()
 
 
 @settings(max_examples=200, deadline=None)

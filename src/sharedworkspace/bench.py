@@ -7,9 +7,10 @@ One "stage" moves information once between n_s specialists of width d:
 - workspace: specialists write into n_m slots and read back (two skinny
   attention passes, cost linear in n_s since n_m is a constant).
 
-Stages are forward-only raw-numpy kernels with fixed weights, timed
-single-threaded with a median over warm repeats; the inner loop grows until a
-run spans enough timer ticks to be trustworthy.
+Stages are forward-only raw-numpy kernels with fixed weights, timed with a
+median over warm repeats; the inner loop grows until a run spans enough timer
+ticks to be trustworthy.  Nothing here pins the BLAS thread count, so the GEMMs
+use as many threads as the numpy build starts by default.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .config import HOSTS, TASKS, ModelConfig, from_yaml
 from .errors import ConfigError
 from .gradcheck import NonDeterministicError
 from .hostcheck import check_all_hosts, host_grad_check
-from .models import TimsModel, TransformerClassifier
+from .models import TimsModel
 from .optim import NumericError
 from .serialization import CheckpointError
 from .tasks import gen_copy, gen_sort_of_clevr, gen_triangles, save_dataset
@@ -171,15 +171,15 @@ def cmd_dump_attn(args) -> int:
                 rows.append({"stage": layer, "position": pos,
                              "active": " ".join(map(str, sorted(sel[0, pos])))})
         fields = ["stage", "position", "active"]
-    elif isinstance(model, TransformerClassifier) and model.last_attention:
-        for rec in model.last_attention:
-            write = rec["write"]
-            for slot in range(write.shape[0]):
-                for token in range(write.shape[1]):
-                    rows.append({"stage": rec["stage"], "slot": slot,
-                                 "token": token,
-                                 "weight": f"{write[slot, token]:.6f}"})
-        fields = ["stage", "slot", "token", "weight"]
+    elif getattr(model, "last_attention", None):
+        # Write maps: (slot, token), with a leading position axis when every
+        # position keeps its own memory.
+        axes = ["position", "slot", "token"][-model.last_attention[0].ndim:]
+        for stage, write in enumerate(model.last_attention):
+            for index in np.ndindex(write.shape):
+                rows.append({"stage": stage, **dict(zip(axes, index)),
+                             "weight": f"{write[index]:.6f}"})
+        fields = ["stage", *axes, "weight"]
     else:
         raise ConfigError(f"host {cfg.host!r} has no attention maps to dump")
     with open(args.out, "w", newline="") as fh:

@@ -32,10 +32,11 @@ ANY = object()   # a retired key that no model read: any stored value loads
 
 # Keys removed from ModelConfig, mapped to the value every model ran with:
 # the workspace writes once, layer sharing follows the host, TIMs runs one
-# monolithic block on each side, and the task sets classes and channels.
+# monolithic block on each side, the task sets classes and channels, and the
+# slots are as wide as the specialists (n_l = n_h).
 RETIRED = {"rims_steps": ANY, "include_memory_rows": ANY, "n_write_iters": 1,
            "share_layer_params": None, "tims_mono_layers": 1,
-           "n_classes": ANY, "n_channels": ANY}
+           "n_classes": ANY, "n_channels": ANY, "n_l": None}
 
 
 @dataclass
@@ -57,7 +58,6 @@ class ModelConfig:
 
     # shared workspace
     n_m: int = 4
-    n_l: int | None = None    # None: n_l = n_h
     topk: int | None = None
     gate_style: str = "unit"
     persistent_memory: bool = True   # False: re-initialize at every stage
@@ -94,10 +94,6 @@ class ModelConfig:
     @property
     def n_channels(self) -> int:
         return tasks.SOC_RGB.shape[1] if self.task == "soc" else 1
-
-    @property
-    def slot_dim(self) -> int:
-        return self.n_h if self.n_l is None else self.n_l
 
     @property
     def n_patches(self) -> int:

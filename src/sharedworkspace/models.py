@@ -2,7 +2,8 @@
 
 Seven hosts share one communication contract: at every computational stage the
 specialists either talk pairwise (self-attention baselines) or through the
-slot memory (write competition, gated update, broadcast):
+slot memory through one ``SharedWorkspace.communicate`` round (write
+competition, gated update, broadcast), which no host assembles itself:
 
 - ``tr``        transformer, pairwise self-attention, layer params shared
 - ``tr_hc``     transformer, pairwise self-attention, per-layer params
@@ -16,9 +17,10 @@ The five transformer hosts run one pre-norm block stack with two
 embedding/readout variants.  ``TransformerClassifier`` embeds image patches
 (plus a question token for the relational task), keeps one workspace memory
 per example and reads out the CLS row.  ``CausalTransformerLM`` embeds the
-copy task's tokens, masks attention causally, keeps one workspace memory per
-position and reads out every position.  ``RimsModel`` and ``TimsModel`` have
-their own stacks.  ``build_model`` dispatches on the config.
+copy task's tokens and reads out every position; its class attribute
+``causal`` makes the stack mask attention and run the workspace round with
+one memory per position.  ``RimsModel`` and ``TimsModel`` have their own
+stacks.  ``build_model`` dispatches on the config.
 
 Every layer is a ``tensor.Module``: its parameters are found by walking its
 attributes in assignment order, not listed by hand.  A host assigns its
@@ -35,7 +37,8 @@ from .config import ModelConfig, validate
 from .errors import ConfigError
 from .tasks import SOC_QUESTION_BITS
 from .tensor import Tensor
-from .workspace import SharedWorkspace, WorkspaceState
+from .workspace import SharedWorkspace, WorkspaceState, causal_mask
+from .workspace import prefix_mean_matrix  # noqa: F401  (re-exported)
 
 
 # ---- building blocks ---------------------------------------------------------
@@ -69,17 +72,6 @@ class FeedForward(T.Module):
         return self.d2(T.relu(self.d1(x)))
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """(n, n) lower-triangular keep mask: row t keeps keys at positions <= t."""
-    return np.tril(np.ones((n, n), dtype=np.float32))
-
-
-def prefix_mean_matrix(n: int, dtype=np.float32) -> np.ndarray:
-    """(n, n) matrix L with L @ x giving causal running means of the rows of x."""
-    m = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
-    return m.astype(dtype)
-
-
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     """Non-overlapping patches in row-major order, pixels flattened per patch.
 
@@ -107,11 +99,6 @@ def _checked_rng(cfg: ModelConfig, rng, hosts, kind: str):
     return np.random.default_rng(cfg.seed) if rng is None else rng
 
 
-def _mean_over_heads(weights: Tensor) -> np.ndarray:
-    # (B, H, n_q, n_k) -> first batch element, mean over heads.
-    return weights.data[0].mean(axis=0)
-
-
 # ---- transformer hosts -------------------------------------------------------
 
 
@@ -128,14 +115,17 @@ class _TransformerStack(T.Module):
     """Pre-norm block stack shared by the transformer hosts.
 
     Per layer the tokens talk pairwise (``tr``/``tr_hc``; twice for
-    ``tr_2xsa``) or through the workspace (``tr_ssw``/``tr_hsw``, after a
-    pairwise sublayer with ``sw_plus_sa``), then pass through the FFN.  A
-    subclass sets ``max_tokens`` and assigns its embedding parameters,
-    ``pos`` among them, before calling ``__init__``, so they are drawn first
-    and, since parameters are found in attribute order, listed first.  It
-    supplies the forward pass: embedding, attention mask, ``_workspace_step``
-    and readout.
+    ``tr_2xsa``) or through one ``SharedWorkspace.communicate`` round
+    (``tr_ssw``/``tr_hsw``, after a pairwise sublayer with ``sw_plus_sa``),
+    then pass through the FFN.  The class attribute ``causal`` picks the
+    round: one memory per example, or one per position with causally masked
+    self-attention.  A subclass sets ``max_tokens`` and assigns its embedding
+    parameters, ``pos`` among them, before calling ``__init__``, so they are
+    drawn first and, since parameters are found in attribute order, listed
+    first.  It supplies the embedding and the readout.
     """
+
+    causal = False
 
     def __init__(self, cfg: ModelConfig, rng, dtype, n_out: int):
         self.cfg = cfg
@@ -164,30 +154,29 @@ class _TransformerStack(T.Module):
         self.workspace = None
         if cfg.host in ("tr_ssw", "tr_hsw"):
             self.workspace = SharedWorkspace(
-                rng, n_s=self.max_tokens, n_h=n_h, n_m=cfg.n_m, n_l=cfg.n_l,
+                rng, n_s=self.max_tokens, n_h=n_h, n_m=cfg.n_m,
                 n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
                 gate_style=cfg.gate_style, dtype=dtype, prefix="ws")
 
         self.final_ln = LayerNorm(n_h, dtype, "final_ln")
         self.head = Dense(rng, n_h, n_out, dtype, "head")
+        # Per stage, the head-mean write map of example 0 from the last
+        # forward: (n_m, T), or (T, n_m, T) with one memory per position.
+        self.last_attention = []
 
-    def _run_layers(self, h: Tensor, rng, memory_batch: tuple, mask=None,
-                    **step_args) -> Tensor:
+    def _run_layers(self, h: Tensor, rng) -> Tensor:
         """Final-normed states of embedded tokens ``h`` (B, T, n_h) after the
-        position embedding and every layer.
-
-        ``memory_batch`` is the leading shape of the workspace memory and
-        ``step_args`` go to the subclass's ``_workspace_step``.
-        """
+        position embedding and every layer."""
         cfg = self.cfg
         n_t = h.shape[-2]
         if n_t > self.max_tokens:
             raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
-        if self._topk is not None and self._topk > n_t:
-            raise ConfigError(f"topk={self._topk} exceeds {n_t} specialists")
         h = T.add(h, self.pos[:n_t])
+        mask = causal_mask(n_t) if self.causal else None
+        memory_batch = h.shape[:-1] if self.causal else h.shape[:-2]
         state = self.workspace.reset(memory_batch) if self.workspace is not None else None
         drop = lambda x: T.dropout(x, cfg.dropout, rng)
+        self.last_attention = []
 
         for layer in range(cfg.n_layers):
             blk = self.blocks[layer % len(self.blocks)]
@@ -199,7 +188,9 @@ class _TransformerStack(T.Module):
                 if not cfg.persistent_memory:
                     state = self.workspace.reset(memory_batch)
                 xn = blk["ln1b" if "sa" in blk else "ln1"](h)
-                state, read = self._workspace_step(state, xn, **step_args)
+                state, read, write = self.workspace.communicate(state, xn, xn, self._topk,
+                                                                self.causal)
+                self.last_attention.append(write.weights.data[0].mean(axis=-3))
                 h = T.add(h, drop(read))
             h = T.add(h, drop(blk["ffn"](blk["ln2"](h))))
         return self.final_ln(h)
@@ -223,7 +214,6 @@ class TransformerClassifier(_TransformerStack):
         self.q_embed = Dense(rng, SOC_QUESTION_BITS, n_h, dtype, "question") \
             if cfg.task == "soc" else None
         super().__init__(cfg, rng, dtype, cfg.n_classes)
-        self.last_attention = []   # per-stage write maps from the last forward
 
     def forward(self, images: np.ndarray, question: np.ndarray | None = None,
                 rng=None) -> Tensor:
@@ -238,16 +228,8 @@ class TransformerClassifier(_TransformerStack):
         if self.q_embed is not None:
             q = self.q_embed(Tensor(np.asarray(question, dtype=self.dtype)))
             parts.append(T.reshape(q, (b, 1, cfg.n_h)))
-        self.last_attention = []
-        h = self._run_layers(T.concat(parts, axis=-2), rng, (b,))
+        h = self._run_layers(T.concat(parts, axis=-2), rng)
         return self.head(h[:, 0])
-
-    def _workspace_step(self, state: WorkspaceState, xn: Tensor):
-        cand, w_att = self.workspace.write_step(state, xn, topk=self._topk)
-        state = self.workspace.gated_update(state, cand, xn)
-        self.last_attention.append({"stage": len(self.last_attention),
-                                    "write": _mean_over_heads(w_att.weights)})
-        return state, multihead(xn, state.memory, self.workspace.read_proj).values
 
 
 class CausalTransformerLM(_TransformerStack):
@@ -258,6 +240,8 @@ class CausalTransformerLM(_TransformerStack):
     past logits.
     """
 
+    causal = True
+
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
         rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "causal transformer")
         self.max_tokens = cfg.seq_len
@@ -267,28 +251,7 @@ class CausalTransformerLM(_TransformerStack):
 
     def forward(self, tokens: np.ndarray, rng=None) -> Tensor:
         """Next-token logits (B, T, vocab) for integer ``tokens`` (B, T)."""
-        tokens = np.asarray(tokens)
-        b, n_t = tokens.shape
-        mask = causal_mask(n_t)
-        # The write-competition mask has axes: query position t (axis -4), one
-        # head axis, memory-slot axis, then the key positions.
-        h = self._run_layers(self.embed[tokens], rng, (b, n_t), mask,
-                             write_mask=mask.reshape(n_t, 1, 1, n_t),
-                             prefix_mean=Tensor(prefix_mean_matrix(n_t, self.dtype)))
-        return self.head(h)
-
-    def _workspace_step(self, state: WorkspaceState, xn: Tensor, write_mask, prefix_mean):
-        b, n_t, n_h = xn.shape
-        ws = self.workspace
-        # Every position's workspace sees all positions as candidate writers,
-        # causally masked; the gate pools a running mean over the prefix.
-        writers = T.reshape(xn, (b, 1, n_t, n_h))
-        cand, _ = ws.write_step(state, writers, topk=self._topk, write_mask=write_mask)
-        pooled = T.matmul(prefix_mean, T.relu(T.matmul(xn, ws.w1)))
-        pooled = T.reshape(pooled, (b, n_t, 1, ws.n_l))
-        state = ws.gated_update_from_pooled(state, cand, pooled)
-        read = multihead(T.reshape(xn, (b, n_t, 1, n_h)), state.memory, ws.read_proj)
-        return state, T.reshape(read.values, (b, n_t, n_h))
+        return self.head(self._run_layers(self.embed[np.asarray(tokens)], rng))
 
 
 # ---- recurrent specialists (RIMs host) ---------------------------------------
@@ -369,13 +332,8 @@ def rims_sw_step(cell: RimsCell, ws: SharedWorkspace, state: WorkspaceState,
     h_bar = T.add(T.mul(gru_out, active), T.mul(h_prev, T.add(T.mul(active, -1.0), 1.0)))
 
     rows = T.take(a, (np.arange(b)[:, None], sel.indices))   # (B, n_sel, n_h)
-    cand, _ = ws.write_step(state, rows)
-    state = ws.gated_update(state, cand, rows)
-    if broadcast:
-        h_next, _ = ws.broadcast_step(state, h_bar)
-    else:
-        h_next = h_bar
-    return h_next, state, sel
+    state, read, _ = ws.communicate(state, rows, h_bar)
+    return (T.add(h_bar, read) if broadcast else h_bar), state, sel
 
 
 class RimsModel(T.Module):
@@ -392,7 +350,7 @@ class RimsModel(T.Module):
         self.cell = RimsCell(rng, cfg.n_s, cfg.n_h, cfg.n_h, cfg.n_sel,
                              key_dim=cfg.key_dim, dtype=dtype)
         self.workspace = SharedWorkspace(
-            rng, n_s=cfg.n_s, n_h=cfg.n_h, n_m=cfg.n_m, n_l=cfg.n_h,
+            rng, n_s=cfg.n_s, n_h=cfg.n_h, n_m=cfg.n_m,
             n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
             gate_style=cfg.gate_style, include_memory_rows=True,
             dtype=dtype, prefix="ws")
@@ -471,16 +429,13 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     scale = T.reshape(c_star, (b, n_t, n_b, 1))
     h_bar = T.add(hm, T.dropout(T.mul(scale, att), dropout, rng))
 
-    # Step 3: write.  Each position contributes one combined row built from
-    # the score-scaled mechanism states; positions fold into the batch.
+    # Steps 3 and 4: each position writes one combined row, built from the
+    # score-scaled mechanism states, into its own memory, and each mechanism
+    # reads from its position's memory; positions fold into the batch.
     a = T.reshape(T.mul(scale, h_bar), (b, n_t, n_b * dm))
     rows = T.reshape(T.matmul(a, layer.w_a), (b, n_t, 1, layer.n_l))
-    cand, _ = ws.write_step(state, rows)
-    state = ws.gated_update(state, cand, rows)
-
-    # Step 4: broadcast, one read per mechanism from its position's memory.
-    read = multihead(h_bar, state.memory, ws.read_proj)  # (B, T, n_b, dm)
-    h_out = T.add(h_bar, T.dropout(read.values, dropout, rng))
+    state, read, _ = ws.communicate(state, rows, h_bar)   # read: (B, T, n_b, dm)
+    h_out = T.add(h_bar, T.dropout(read, dropout, rng))
 
     # Per-mechanism feed-forward on the same view, pre-norm residual.
     y = T.swapaxes(layer.ln2(h_out), 1, 2)
@@ -513,12 +468,12 @@ class TimsModel(T.Module):
 
         self.mono_in = mono_block("mono_in")      # before the modular stack
         self.mono_out = mono_block("mono_out")    # after it
-        self.modular = TimsLayer(rng, n_b, dm, cfg.n_sel, cfg.slot_dim,
+        self.modular = TimsLayer(rng, n_b, dm, cfg.n_sel, d,
                                  max(cfg.ffn_dim // n_b, 4), n_heads=cfg.n_heads,
                                  key_dim=cfg.key_dim, value_dim=cfg.value_dim,
                                  dtype=dtype, prefix="modular")
         self.workspace = SharedWorkspace(
-            rng, n_s=n_b, n_h=cfg.slot_dim, n_m=cfg.n_m, n_l=cfg.slot_dim,
+            rng, n_s=n_b, n_h=d, n_m=cfg.n_m,
             n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
             gate_style=cfg.gate_style, read_q_dim=dm, read_out_dim=dm,
             dtype=dtype, prefix="ws")

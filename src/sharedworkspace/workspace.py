@@ -3,7 +3,8 @@
 Specialists (rows of R) compete to write into a small slot memory M via
 attention with queries from the current memory; the updated memory is then
 blended with the previous one through input/forget gates and finally
-broadcast back to every specialist as a residual read.
+broadcast back to every specialist as a residual read.  ``communicate`` is
+the one place that composes these three steps into a round.
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ from .attention import AttentionOutput, ProjectionSet, multihead
 from .errors import ConfigError
 from .optim import NumericError
 from .tensor import Tensor
+
+
+def causal_mask(n: int) -> np.ndarray:
+    """(n, n) lower-triangular keep mask: row t keeps keys at positions <= t."""
+    return np.tril(np.ones((n, n), dtype=np.float32))
+
+
+def prefix_mean_matrix(n: int, dtype=np.float32) -> np.ndarray:
+    """(n, n) matrix L with L @ x giving causal running means of the rows of x."""
+    m = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
+    return m.astype(dtype)
 
 
 @dataclass
@@ -122,8 +134,8 @@ class SharedWorkspace(T.Module):
                                  x_bar: Tensor) -> WorkspaceState:
         """Gated blend with a caller-supplied pooled input summary.
 
-        ``x_bar`` broadcasts against the memory (..., 1, n_l); autoregressive
-        hosts pass a causal prefix mean instead of the full specialist mean.
+        ``x_bar`` broadcasts against the memory (..., 1, n_l); the causal
+        round passes a prefix mean instead of the full specialist mean.
         """
         prev = ws.memory
         k = T.add(x_bar, T.tanh(prev))
@@ -137,6 +149,34 @@ class SharedWorkspace(T.Module):
         """Residual read: every specialist attends over the memory slots."""
         att = multihead(specialists, ws.memory, self.read_proj)
         return T.add(specialists, att.values), att
+
+    def communicate(self, ws: WorkspaceState, writers: Tensor, readers: Tensor,
+                    topk: int | None = None,
+                    causal: bool = False) -> tuple[WorkspaceState, Tensor, AttentionOutput]:
+        """Write, gated update, then read: (new state, read values shaped like
+        ``readers`` without the residual, write attention).
+
+        Writers (..., n_s, n_h) share one memory (..., n_m, n_l).  With
+        ``causal`` writers and readers are (B, T, d) and the memory (B, T, n_m,
+        n_l): copy t takes writes from positions <= t, its gate pools their
+        prefix mean, and position t reads copy t.
+        """
+        if not causal:
+            cand, att = self.write_step(ws, writers, topk)
+            ws = self.gated_update(ws, cand, writers)
+            return ws, multihead(readers, ws.memory, self.read_proj).values, att
+        b, n_t, n_h = writers.shape
+        # Write-mask axes: memory copy t (axis -4), heads, slots, writer position.
+        mask = causal_mask(n_t).reshape(n_t, 1, 1, n_t)
+        cand, att = self.write_step(ws, T.reshape(writers, (b, 1, n_t, n_h)), topk, mask)
+        # Pool from ``writers``, not the view above: it fixes the order in
+        # which gradients add up.
+        pooled = T.matmul(Tensor(prefix_mean_matrix(n_t, self.dtype)),
+                          T.relu(T.matmul(writers, self.w1)))
+        ws = self.gated_update_from_pooled(ws, cand, T.reshape(pooled, (b, n_t, 1, self.n_l)))
+        read = multihead(T.reshape(readers, (b, n_t, 1, readers.shape[-1])),
+                         ws.memory, self.read_proj)
+        return ws, T.reshape(read.values, readers.shape), att
 
 
 def write_broadcast_flops(n_s: int, n_m: int, n_h: int, n_l: int, n_heads: int,

@@ -128,7 +128,8 @@ def test_override_of_a_task_derived_value_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("tims_mono_layers", "2"),
-                                       ("share_layer_params", "false")])
+                                       ("share_layer_params", "false"),
+                                       ("n_l", "32")])
 def test_config_file_with_retired_key_at_another_value_exits_1(tmp_path, capsys,
                                                                key, value):
     cfg_file = tmp_path / "old.yaml"
@@ -278,7 +279,8 @@ def test_eval_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("tims_mono_layers", 2),
-                                       ("share_layer_params", False)])
+                                       ("share_layer_params", False),
+                                       ("n_l", 32)])
 def test_eval_checkpoint_with_retired_key_at_another_value_exits_1(tmp_path, capsys,
                                                                    key, value):
     path = write_checkpoint(tmp_path / "old.ckpt", **{key: value})
@@ -335,6 +337,21 @@ def test_dump_attn_workspace_host(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "stage,slot,token,weight"
     assert len(lines) > 1
+
+
+def test_dump_attn_causal_workspace_host(tmp_path):
+    out = tmp_path / "run"
+    main(["--data-root", str(tmp_path / "data"), "train", "--host", "tr_hsw",
+          "--topk", "2", "--task", "copy", "--epochs", "1", "--out", str(out), *SMALL])
+    csv_path = tmp_path / "attn.csv"
+    code = main(["--data-root", str(tmp_path / "data"), "dump-attn",
+                 "--checkpoint", str(out / "best.ckpt"), "--out", str(csv_path)])
+    assert code == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "stage,position,slot,token,weight"
+    # One memory per position: n_layers * T * n_m * T rows, over the T = 10
+    # input tokens of a copy_len=5 sequence (the 11th is only a target).
+    assert len(lines) - 1 == 2 * 10 * 2 * 10
 
 
 def test_dump_attn_plain_host_exits_1(tmp_path):

@@ -232,6 +232,28 @@ def test_broadcast_matches_loop_oracle():
     assert np.abs(out.data - expect).max() < 1e-12
 
 
+# ---- one round -----------------------------------------------------------------
+
+
+def test_causal_round_matches_plain_round_over_each_prefix():
+    # Memory copy t of the causal round, and the read at t, are what the
+    # plain one-memory round gives for the writers at positions <= t.
+    rng = np.random.default_rng(18)
+    ws = make_ws(rng, n_s=6)
+    b, n_t = 2, 6
+    writers = rng.normal(size=(b, n_t, 8))
+    readers = rng.normal(size=(b, n_t, 8))
+    memory = rng.normal(size=(b, n_t, ws.n_m, ws.n_l))   # a distinct memory per position
+    state, read, _ = ws.communicate(WorkspaceState(t64(memory)), t64(writers),
+                                    t64(readers), causal=True)
+    assert state.memory.shape == memory.shape and read.shape == readers.shape
+    for t in range(n_t):
+        st_t, read_t, _ = ws.communicate(WorkspaceState(t64(memory[:, t])),
+                                         t64(writers[:, :t + 1]), t64(readers[:, t:t + 1]))
+        assert np.abs(state.memory.data[:, t] - st_t.memory.data).max() < 1e-12
+        assert np.abs(read.data[:, t] - read_t.data[:, 0]).max() < 1e-12
+
+
 # ---- reset / persistence ------------------------------------------------------
 
 

@@ -146,7 +146,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    ns_list = [int(x) for x in args.ns.split(",")]
+    ns_list = [int(x) if x.strip().isdigit() else 0 for x in args.ns.split(",")]
+    if min(ns_list) < 1:
+        raise ConfigError(f"--ns expects comma-separated positive sizes, got {args.ns!r}")
     results = run_scaling(ns_list, n_m=args.nm, d=args.d, repeats=args.repeats)
     if args.out:
         write_csv(args.out, results)
@@ -157,6 +159,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_attn(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be at least 1, got {args.n}")
     model, cfg = load_model(args.checkpoint)
     test_d = dataset(cfg, "test", _data_root(args))
     from .train import _batch_arrays, batch_loss

@@ -1,8 +1,8 @@
 """Model/training configuration: a versioned, human-readable key-value file.
 
 Configs load from YAML files and from checkpoint metadata through
-``from_dict``.  ``validate`` enforces the cross-field rules the hosts rely on;
-it runs before any compute is spent.
+``from_dict``.  ``validate`` enforces the ranges and cross-field rules the
+hosts rely on; it runs before any compute is spent.
 
 A field exists only for a value some caller sets.  What the task fixes (the
 class count, the image channels) is a read-only property derived from
@@ -15,6 +15,7 @@ value, and any other value is a ``ConfigError``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,8 +129,11 @@ def validate(cfg: ModelConfig) -> ModelConfig:
         raise ConfigError(f"tims_sw needs n_h divisible by n_s ({cfg.n_h} % {cfg.n_s})")
     if cfg.host == "tims_sw" and cfg.n_sel > cfg.n_s:
         raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
-    if cfg.n_m < 1:
-        raise ConfigError("n_m must be at least 1")
+    for key in ("n_m", "n_h", "ffn_dim", "batch_size"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not isinstance(cfg.lr, (int, float)) or not math.isfinite(cfg.lr) or cfg.lr <= 0:
+        raise ConfigError(f"lr must be a positive finite number, got {cfg.lr!r}")
     if cfg.task in ("triangles", "soc") and cfg.image_size % cfg.patch_size != 0:
         raise ConfigError(f"patch_size {cfg.patch_size} must divide image_size {cfg.image_size}")
     if cfg.task == "copy" and cfg.vocab_size < 2:

@@ -20,11 +20,44 @@ row max is taken column by column instead) and ``np.where`` with a
 data-dependent mask (sigmoid uses one formula for both signs).  Layers
 that own parameters derive from ``Module``, which finds them by walking the
 layer's attributes.
+
+A forward holds tens of MiB of tape buffers that are all freed together when
+the loss is dropped.  Left to its defaults, glibc would give that heap top
+back to the kernel (and serve buffers above its dynamic threshold by mmap),
+so every step and evaluation faulted the same pages in again, and how many
+it faulted depended on the heap layout, not on the ops.  So importing this
+module sets glibc's mmap threshold to its 64-bit ceiling of 32 MiB and its
+trim threshold above any step's working set: freed buffers stay in the heap
+and the next step reuses them.  Both are set because setting either one
+turns glibc's dynamic threshold off.  Without a glibc ``mallopt`` (another
+C library) nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+# mallopt parameters from glibc's malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> bool:
+    """Set the heap policy above; True when glibc took both thresholds."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    # The trim threshold alone would leave the 128 KiB mmap default, which
+    # faults more than glibc's dynamic threshold, so it follows only a
+    # successful mmap threshold (mallopt returns 1 on success).
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1)
+
+
+_KEEPS_FREED_MEMORY = _keep_freed_memory()
 
 # Additive mask sentinel: masked logits are pushed to -1e9 before softmax so
 # masking composes with top-k and causal masks.  An all-masked row yields an

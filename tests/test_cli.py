@@ -104,6 +104,19 @@ def test_invalid_config_exits_1(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key,value", [("batch_size", "0"), ("n_h", "0"),
+                                       ("ffn_dim", "0"), ("lr", "nan"), ("lr", ".nan"),
+                                       ("lr", "0")])
+def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    code = main(["train", "--host", "tr_ssw", "--task", "copy", "--out", str(out),
+                 "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_train_with_unsupported_image_size_exits_1_before_run_dir(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["train", "--host", "tr", "--task", "triangles", "--out", str(out),
@@ -325,6 +338,12 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_bench_with_a_size_that_is_not_a_positive_integer_exits_1(capsys):
+    for ns in ("32,abc", "0,32"):
+        assert main(["bench", "--ns", ns]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
+
 # ---- dump-attn ---------------------------------------------------------------
 
 
@@ -352,6 +371,15 @@ def test_dump_attn_causal_workspace_host(tmp_path):
     # One memory per position: n_layers * T * n_m * T rows, over the T = 10
     # input tokens of a copy_len=5 sequence (the 11th is only a target).
     assert len(lines) - 1 == 2 * 10 * 2 * 10
+
+
+def test_dump_attn_of_no_examples_exits_1(tmp_path, capsys):
+    _, out = run_small_train(tmp_path)
+    capsys.readouterr()
+    code = main(["--data-root", str(tmp_path / "data"), "dump-attn", "--n", "0",
+                 "--checkpoint", str(out / "best.ckpt"), "--out", str(tmp_path / "a.csv")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_dump_attn_plain_host_exits_1(tmp_path):

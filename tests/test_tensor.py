@@ -1,5 +1,11 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sharedworkspace
 from sharedworkspace import tensor as T
 from sharedworkspace.gradcheck import NonDeterministicError, grad_check
 from sharedworkspace.optim import Adam, NumericError, cosine_lr
@@ -609,3 +616,42 @@ def test_no_grad_blocks_tape():
     with T.no_grad():
         y = T.mul(x, 2.0)
     assert not y.requires_grad
+
+
+# ---- heap policy ---------------------------------------------------------------
+
+# Each round allocates ~38 MiB of float32 arrays of mixed sizes, as a forward
+# fills its tape, and frees them together, as dropping the loss does.
+_TAPE_ROUND_SIZES = (200_000, 300_000, 50_000, 700_000)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_freed_tape_buffers_are_reused_without_page_faults():
+    child = textwrap.dedent(f"""
+        import resource
+        import numpy as np
+        from sharedworkspace import tensor
+
+        def tape_round():
+            arrays = [np.ones(n, np.float32) for _ in range(8) for n in {_TAPE_ROUND_SIZES}]
+            del arrays
+
+        for _ in range(3):
+            tape_round()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            tape_round()
+        print(tensor._KEEPS_FREED_MEMORY,
+              resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(sharedworkspace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    kept, faults = out[0] == "True", int(out[1])
+    pages_per_round = sum(_TAPE_ROUND_SIZES) * 8 * 4 // os.sysconf("SC_PAGE_SIZE")
+    # Faulting one round's pages in again would cost ~9.7k faults per round;
+    # ten rounds together must take fewer than one such round.
+    assert faults < pages_per_round, (faults, pages_per_round)
+    assert kept

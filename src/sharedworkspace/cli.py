@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .bench import fit_loglog_slope, run_scaling, write_csv
-from .config import HOSTS, TASKS, ModelConfig, from_yaml
+from .config import HOSTS, TASKS, ModelConfig, from_dict, from_yaml
 from .errors import ConfigError
 from .gradcheck import NonDeterministicError
 from .hostcheck import check_all_hosts, host_grad_check
@@ -72,8 +72,7 @@ def _assemble_config(args) -> ModelConfig:
         overrides["n_m"] = args.slots
     if getattr(args, "topk", None) is not None:
         overrides["topk"] = args.topk
-    source = args.config if args.config else "{}"
-    return from_yaml(source, overrides)
+    return from_yaml(args.config, overrides) if args.config else from_dict({}, overrides)
 
 
 # ---- subcommands -------------------------------------------------------------

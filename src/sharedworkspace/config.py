@@ -1,8 +1,9 @@
 """Model/training configuration: a versioned, human-readable key-value file.
 
 Configs load from YAML files and from checkpoint metadata through
-``from_dict``.  ``validate`` enforces the ranges and cross-field rules the
-hosts rely on; it runs before any compute is spent.
+``from_dict``, which checks each value against its field's declared type.
+``validate`` enforces the ranges and cross-field rules the hosts rely on; it
+runs before any compute is spent.
 
 A field exists only for a value some caller sets.  What the task fixes (the
 class count, the image channels) is a read-only property derived from
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,12 +125,10 @@ def validate(cfg: ModelConfig) -> ModelConfig:
     if (not cfg.persistent_memory or cfg.sw_plus_sa) and cfg.host not in ("tr_ssw", "tr_hsw"):
         raise ConfigError(f"persistent_memory=False and sw_plus_sa apply only to "
                           f"tr_ssw and tr_hsw, not {cfg.host}")
-    if cfg.host == "rims_sw" and cfg.n_sel > cfg.n_s:
+    if cfg.host in ("rims_sw", "tims_sw") and cfg.n_sel > cfg.n_s:
         raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
     if cfg.host == "tims_sw" and cfg.n_h % cfg.n_s != 0:
         raise ConfigError(f"tims_sw needs n_h divisible by n_s ({cfg.n_h} % {cfg.n_s})")
-    if cfg.host == "tims_sw" and cfg.n_sel > cfg.n_s:
-        raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
     for key in ("n_m", "n_h", "ffn_dim", "batch_size"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
@@ -143,11 +143,19 @@ def validate(cfg: ModelConfig) -> ModelConfig:
     return cfg
 
 
+# The values each declared field type admits; a bool is no number here.
+_TYPES = {"str": str, "bool": bool, "int": int, "float": (int, float),
+          "int | None": (int, type(None))}
+# YAML 1.1 reads a float with no dot or an unsigned exponent ("3e-4") as text.
+_FLOAT_TEXT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def from_dict(data, overrides: dict | None = None) -> ModelConfig:
     """Build and validate a config from a mapping, applying overrides last.
 
     Retired keys holding their run value are dropped; a retired key holding
-    another value, or any other unknown key, is a ConfigError.
+    another value, any other unknown key, or a value not of its field's
+    type is a ConfigError.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a mapping")
@@ -156,22 +164,24 @@ def from_dict(data, overrides: dict | None = None) -> ModelConfig:
             raise ConfigError(f"{key}={data[key]!r} is not supported: every model "
                               f"runs with {run_value!r}")
     data = {k: v for k, v in data.items() if k not in RETIRED}
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(data) - known
+    known = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if overrides:
-        bad = set(overrides) - known
+        bad = set(overrides) - set(known)
         if bad:
             raise ConfigError(f"unknown override keys: {sorted(bad)}")
         data.update(overrides)
+    for key, value in data.items():
+        kind = known[key]
+        if kind == "float" and isinstance(value, str) and _FLOAT_TEXT.fullmatch(value):
+            data[key] = value = float(value)
+        if not isinstance(value, _TYPES[kind]) or isinstance(value, bool) and kind != "bool":
+            raise ConfigError(f"{key} must be of type {kind}, got {value!r}")
     return validate(ModelConfig(**data))
 
 
-def from_yaml(source, overrides: dict | None = None) -> ModelConfig:
-    """Load a config from a path or YAML string, applying overrides last."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        data = yaml.safe_load(Path(source).read_text())
-    else:
-        data = yaml.safe_load(source)
-    return from_dict(data, overrides)
+def from_yaml(path, overrides: dict | None = None) -> ModelConfig:
+    """Load a config from a YAML file, applying overrides last."""
+    return from_dict(yaml.safe_load(Path(path).read_text()), overrides)

@@ -13,14 +13,15 @@ competition, gated update, broadcast), which no host assembles itself:
 - ``rims_sw``   recurrent specialists (GRU cells) with a shared workspace
 - ``tims_sw``   mechanism-partitioned transformer with a shared workspace
 
-The five transformer hosts run one pre-norm block stack with two
-embedding/readout variants.  ``TransformerClassifier`` embeds image patches
-(plus a question token for the relational task), keeps one workspace memory
-per example and reads out the CLS row.  ``CausalTransformerLM`` embeds the
-copy task's tokens and reads out every position; its class attribute
-``causal`` makes the stack mask attention and run the workspace round with
-one memory per position.  ``RimsModel`` and ``TimsModel`` have their own
-stacks.  ``build_model`` dispatches on the config.
+The five transformer hosts and ``tims_sw`` run one pre-norm transformer
+body.  ``TransformerClassifier`` embeds image patches (plus a question token
+for the relational task), keeps one workspace memory per example and reads
+out the CLS row.  ``CausalTransformerLM`` embeds the copy task's tokens and
+reads out every position; its class attribute ``causal`` makes the stack
+mask attention and run the workspace round with one memory per position.
+``TimsModel`` is that LM with a modular stack between two monolithic blocks.
+``RimsModel`` has its own recurrent loop.  ``build_model`` dispatches on the
+config.
 
 Every layer is a ``tensor.Module``: its parameters are found by walking its
 attributes in assignment order, not listed by hand.  A host assigns its
@@ -38,7 +39,6 @@ from .errors import ConfigError
 from .tasks import SOC_QUESTION_BITS
 from .tensor import Tensor
 from .workspace import SharedWorkspace, WorkspaceState, causal_mask
-from .workspace import prefix_mean_matrix  # noqa: F401  (re-exported)
 
 
 # ---- building blocks ---------------------------------------------------------
@@ -111,18 +111,31 @@ def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop) -
     return T.add(h, drop(multihead(xn, xn, proj, mask=mask).values))
 
 
-class _TransformerStack(T.Module):
-    """Pre-norm block stack shared by the transformer hosts.
+def _feed_forward(h: Tensor, blk: dict, drop) -> Tensor:
+    """Pre-norm residual feed-forward sublayer of block ``blk``."""
+    return T.add(h, drop(blk["ffn"](blk["ln2"](h))))
 
-    Per layer the tokens talk pairwise (``tr``/``tr_hc``; twice for
+
+def _workspace(cfg: ModelConfig, rng, dtype, n_s: int, **shape) -> SharedWorkspace:
+    """The host's workspace, sized by ``cfg``, over ``n_s`` specialists."""
+    return SharedWorkspace(rng, n_s=n_s, n_h=cfg.n_h, n_m=cfg.n_m, n_heads=cfg.mem_heads,
+                           key_dim=cfg.key_dim, value_dim=cfg.value_dim,
+                           gate_style=cfg.gate_style, dtype=dtype, prefix="ws", **shape)
+
+
+class _TransformerStack(T.Module):
+    """Pre-norm transformer body shared by the transformer hosts and TIMs.
+
+    It adds the position embedding, checks the length, builds the causal
+    mask and the dropout, and ends in ``final_ln`` and the readout ``head``;
+    ``_build_layers`` and ``_layers`` build and run the layers between.  By
+    default each layer talks pairwise (``tr``/``tr_hc``; twice for
     ``tr_2xsa``) or through one ``SharedWorkspace.communicate`` round
     (``tr_ssw``/``tr_hsw``, after a pairwise sublayer with ``sw_plus_sa``),
-    then pass through the FFN.  The class attribute ``causal`` picks the
-    round: one memory per example, or one per position with causally masked
-    self-attention.  A subclass sets ``max_tokens`` and assigns its embedding
-    parameters, ``pos`` among them, before calling ``__init__``, so they are
-    drawn first and, since parameters are found in attribute order, listed
-    first.  It supplies the embedding and the readout.
+    then runs the FFN.  ``causal`` picks one memory per example, or one per
+    position with masked self-attention.  A subclass sets ``max_tokens`` and
+    assigns its embedding, ``pos`` among it, before calling ``__init__``, so
+    the embedding is drawn and listed first.
     """
 
     causal = False
@@ -130,8 +143,15 @@ class _TransformerStack(T.Module):
     def __init__(self, cfg: ModelConfig, rng, dtype, n_out: int):
         self.cfg = cfg
         self.dtype = dtype
-        self._topk = cfg.topk if cfg.host == "tr_hsw" else None
-        n_h = cfg.n_h
+        self._build_layers(rng)
+        self.final_ln = LayerNorm(cfg.n_h, dtype, "final_ln")
+        self.head = Dense(rng, cfg.n_h, n_out, dtype, "head")
+        # Per stage, the head-mean write map of example 0 from the last
+        # forward: (n_m, T), or (T, n_m, T) with one memory per position.
+        self.last_attention = []
+
+    def _build_layers(self, rng) -> None:
+        cfg, dtype, n_h = self.cfg, self.dtype, self.cfg.n_h
         attention = lambda name: ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads, cfg.key_dim,
                                                cfg.value_dim, dtype, name)
         n_unique = 1 if cfg.resolved_share_layers() else cfg.n_layers
@@ -145,39 +165,30 @@ class _TransformerStack(T.Module):
             }
             if cfg.host in ("tr", "tr_hc", "tr_2xsa") or cfg.sw_plus_sa:
                 blk["sa"] = attention(f"{p}.sa")
-            if cfg.host == "tr_2xsa" or (cfg.sw_plus_sa and cfg.host in ("tr_ssw", "tr_hsw")):
+            if cfg.host == "tr_2xsa" or cfg.sw_plus_sa:
                 blk["ln1b"] = LayerNorm(n_h, dtype, f"{p}.ln1b")
             if cfg.host == "tr_2xsa":
                 blk["sa2"] = attention(f"{p}.sa2")
             self.blocks.append(blk)
-
-        self.workspace = None
-        if cfg.host in ("tr_ssw", "tr_hsw"):
-            self.workspace = SharedWorkspace(
-                rng, n_s=self.max_tokens, n_h=n_h, n_m=cfg.n_m,
-                n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-                gate_style=cfg.gate_style, dtype=dtype, prefix="ws")
-
-        self.final_ln = LayerNorm(n_h, dtype, "final_ln")
-        self.head = Dense(rng, n_h, n_out, dtype, "head")
-        # Per stage, the head-mean write map of example 0 from the last
-        # forward: (n_m, T), or (T, n_m, T) with one memory per position.
-        self.last_attention = []
+        self.workspace = (_workspace(cfg, rng, dtype, self.max_tokens)
+                          if cfg.host in ("tr_ssw", "tr_hsw") else None)
 
     def _run_layers(self, h: Tensor, rng) -> Tensor:
         """Final-normed states of embedded tokens ``h`` (B, T, n_h) after the
         position embedding and every layer."""
-        cfg = self.cfg
         n_t = h.shape[-2]
         if n_t > self.max_tokens:
             raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
         h = T.add(h, self.pos[:n_t])
         mask = causal_mask(n_t) if self.causal else None
+        drop = lambda x: T.dropout(x, self.cfg.dropout, rng)
+        return self.final_ln(self._layers(h, mask, drop, rng))
+
+    def _layers(self, h: Tensor, mask, drop, rng) -> Tensor:
+        cfg = self.cfg
         memory_batch = h.shape[:-1] if self.causal else h.shape[:-2]
         state = self.workspace.reset(memory_batch) if self.workspace is not None else None
-        drop = lambda x: T.dropout(x, cfg.dropout, rng)
         self.last_attention = []
-
         for layer in range(cfg.n_layers):
             blk = self.blocks[layer % len(self.blocks)]
             if "sa" in blk:
@@ -188,12 +199,12 @@ class _TransformerStack(T.Module):
                 if not cfg.persistent_memory:
                     state = self.workspace.reset(memory_batch)
                 xn = blk["ln1b" if "sa" in blk else "ln1"](h)
-                state, read, write = self.workspace.communicate(state, xn, xn, self._topk,
+                state, read, write = self.workspace.communicate(state, xn, xn, cfg.topk,
                                                                 self.causal)
                 self.last_attention.append(write.weights.data[0].mean(axis=-3))
                 h = T.add(h, drop(read))
-            h = T.add(h, drop(blk["ffn"](blk["ln2"](h))))
-        return self.final_ln(h)
+            h = _feed_forward(h, blk, drop)
+        return h
 
 
 class TransformerClassifier(_TransformerStack):
@@ -241,9 +252,10 @@ class CausalTransformerLM(_TransformerStack):
     """
 
     causal = True
+    hosts, kind = TRANSFORMER_HOSTS, "causal transformer"   # for _checked_rng
 
     def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "causal transformer")
+        rng = _checked_rng(cfg, rng, self.hosts, self.kind)
         self.max_tokens = cfg.seq_len
         self.embed = T.uniform_init(rng, (cfg.vocab_size, cfg.n_h), 0.02, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
@@ -349,11 +361,7 @@ class RimsModel(T.Module):
         self.encoder = Dense(rng, patch_dim, cfg.n_h, dtype, "encoder")
         self.cell = RimsCell(rng, cfg.n_s, cfg.n_h, cfg.n_h, cfg.n_sel,
                              key_dim=cfg.key_dim, dtype=dtype)
-        self.workspace = SharedWorkspace(
-            rng, n_s=cfg.n_s, n_h=cfg.n_h, n_m=cfg.n_m,
-            n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-            gate_style=cfg.gate_style, include_memory_rows=True,
-            dtype=dtype, prefix="ws")
+        self.workspace = _workspace(cfg, rng, dtype, cfg.n_s, include_memory_rows=True)
         self.h0 = T.uniform_init(rng, (cfg.n_s, cfg.n_h), 0.02, dtype, "h0")
         self.head = Dense(rng, cfg.n_s * cfg.n_h, cfg.n_classes, dtype, "head")
 
@@ -444,18 +452,16 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     return T.reshape(h_out, (b, n_t, d)), state, sel
 
 
-class TimsModel(T.Module):
-    """Autoregressive LM: monolithic layers sandwiching a modular stack whose
-    mechanisms communicate through a per-position shared workspace."""
+class TimsModel(CausalTransformerLM):
+    """Autoregressive LM whose causal transformer body is monolithic layers
+    sandwiching a modular stack; its mechanisms communicate through a
+    per-position shared workspace."""
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        rng = _checked_rng(cfg, rng, ("tims_sw",), "mechanism-partitioned model")
-        self.cfg = cfg
-        d, n_b = cfg.n_h, cfg.n_s
+    hosts, kind = ("tims_sw",), "mechanism-partitioned model"
+
+    def _build_layers(self, rng) -> None:
+        cfg, dtype, d, n_b = self.cfg, self.dtype, self.cfg.n_h, self.cfg.n_s
         dm = d // n_b
-        self.max_tokens = cfg.seq_len
-        self.embed = T.uniform_init(rng, (cfg.vocab_size, d), 0.02, dtype, "embed")
-        self.pos = T.uniform_init(rng, (self.max_tokens, d), 0.02, dtype, "pos")
 
         def mono_block(prefix):
             return {
@@ -472,37 +478,19 @@ class TimsModel(T.Module):
                                  max(cfg.ffn_dim // n_b, 4), n_heads=cfg.n_heads,
                                  key_dim=cfg.key_dim, value_dim=cfg.value_dim,
                                  dtype=dtype, prefix="modular")
-        self.workspace = SharedWorkspace(
-            rng, n_s=n_b, n_h=d, n_m=cfg.n_m,
-            n_heads=cfg.mem_heads, key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-            gate_style=cfg.gate_style, read_q_dim=dm, read_out_dim=dm,
-            dtype=dtype, prefix="ws")
-        self.final_ln = LayerNorm(d, dtype, "final_ln")
-        self.head = Dense(rng, d, cfg.vocab_size, dtype, "head")
+        self.workspace = _workspace(cfg, rng, dtype, n_b, read_q_dim=dm, read_out_dim=dm)
 
-    def _mono(self, blk, h, mask, drop):
-        h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop)
-        return T.add(h, drop(blk["ffn"](blk["ln2"](h))))
-
-    def forward(self, tokens: np.ndarray, rng=None) -> Tensor:
-        cfg = self.cfg
-        tokens = np.asarray(tokens)
-        b, n_t = tokens.shape
-        if n_t > self.max_tokens:
-            raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
-        h = T.add(self.embed[tokens], self.pos[:n_t])
-        mask = causal_mask(n_t)
-        drop = lambda x: T.dropout(x, cfg.dropout, rng)
-
-        h = self._mono(self.mono_in, h, mask, drop)
-        state = self.workspace.reset((b, n_t))
+    def _layers(self, h: Tensor, mask, drop, rng) -> Tensor:
+        mono = lambda blk, h: _feed_forward(
+            _self_attention(h, blk["ln1"], blk["sa"], mask, drop), blk, drop)
+        h = mono(self.mono_in, h)
+        state = self.workspace.reset(h.shape[:-1])
         self.last_selection = []
-        for _ in range(cfg.n_layers):
+        for _ in range(self.cfg.n_layers):
             h, state, sel = tims_sw_layer(self.modular, self.workspace, state, h,
-                                          causal=True, rng=rng, dropout=cfg.dropout)
+                                          causal=True, rng=rng, dropout=self.cfg.dropout)
             self.last_selection.append(sel.indices)
-        h = self._mono(self.mono_out, h, mask, drop)
-        return self.head(self.final_ln(h))
+        return mono(self.mono_out, h)
 
 
 # ---- dispatch ----------------------------------------------------------------

@@ -106,7 +106,10 @@ def test_invalid_config_exits_1(tmp_path):
 
 @pytest.mark.parametrize("key,value", [("batch_size", "0"), ("n_h", "0"),
                                        ("ffn_dim", "0"), ("lr", "nan"), ("lr", ".nan"),
-                                       ("lr", "0")])
+                                       ("lr", "0"),
+                                       # values not of the field's declared type
+                                       ("n_h", "abc"), ("epochs", "x"), ("n_h", "true"),
+                                       ("persistent_memory", "1"), ("lr", "3e-x")])
 def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     code = main(["train", "--host", "tr_ssw", "--task", "copy", "--out", str(out),
@@ -114,6 +117,31 @@ def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, valu
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_float_with_an_exponent_and_no_dot_loads(tmp_path, source):
+    # YAML 1.1 reads 3e-4 as text; the float field takes it as a number.
+    if source == "set":
+        flags = ["--set", "lr=3e-4"]
+    else:
+        (tmp_path / "c.yaml").write_text("lr: 3e-4\n")
+        flags = ["--config", str(tmp_path / "c.yaml")]
+    out = tmp_path / "run"
+    code = main(["--data-root", str(tmp_path / "data"), "train", "--host", "tr",
+                 "--task", "copy", "--epochs", "1", "--out", str(out), *SMALL, *flags])
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["config"]["lr"] == 3e-4
+
+
+def test_missing_config_file_exits_3(tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(missing), "--out", str(out)])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure") and str(missing) in err
     assert not out.exists()
 
 
@@ -371,6 +399,27 @@ def test_dump_attn_causal_workspace_host(tmp_path):
     # One memory per position: n_layers * T * n_m * T rows, over the T = 10
     # input tokens of a copy_len=5 sequence (the 11th is only a target).
     assert len(lines) - 1 == 2 * 10 * 2 * 10
+
+
+def test_dump_attn_mechanism_host(tmp_path):
+    out = tmp_path / "run"
+    main(["--data-root", str(tmp_path / "data"), "train", "--host", "tims_sw",
+          "--task", "copy", "--epochs", "1", "--out", str(out), *SMALL,
+          "--set", "copy_len=3"])
+    csv_path = tmp_path / "attn.csv"
+    code = main(["--data-root", str(tmp_path / "data"), "dump-attn",
+                 "--checkpoint", str(out / "best.ckpt"), "--out", str(csv_path)])
+    assert code == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "stage,position,active"
+    # One row per modular layer and input position: n_layers * 2 * copy_len.
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(s), int(p)) for s, p, _ in rows] == [(s, p) for s in range(2)
+                                                      for p in range(6)]
+    n_s, n_sel = ModelConfig().n_s, ModelConfig().n_sel
+    for _, _, active in rows:
+        ids = [int(i) for i in active.split()]
+        assert len(set(ids)) == n_sel and all(0 <= i < n_s for i in ids)
 
 
 def test_dump_attn_of_no_examples_exits_1(tmp_path, capsys):

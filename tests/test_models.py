@@ -13,11 +13,10 @@ from sharedworkspace.hostcheck import toy_batch, toy_config
 from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     TimsLayer, TimsModel, TransformerClassifier,
                                     build_model, causal_mask, count_parameters,
-                                    patchify, prefix_mean_matrix, rims_sw_step,
-                                    tims_sw_layer)
+                                    patchify, rims_sw_step, tims_sw_layer)
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.train import batch_loss, resolve_task_fields
-from sharedworkspace.workspace import SharedWorkspace
+from sharedworkspace.workspace import SharedWorkspace, prefix_mean_matrix
 
 from test_host_pinning import tape_size
 

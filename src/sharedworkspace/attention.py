@@ -128,11 +128,8 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,
     if mask is not None:
         m = np.asarray(mask, dtype=scores.dtype)
         scores = T.add(scores, (1.0 - m) * MASK_VALUE)
-    if topk is not None:
-        keep = topk_select(scores.data, topk).keep_mask
-        weights = T.masked_softmax_retain(scores, keep, axis=-1)
-    else:
-        weights = T.softmax(scores, axis=-1)
+    keep = None if topk is None else topk_select(scores.data, topk).keep_mask
+    weights = T.softmax(scores, axis=-1, keep=keep)
     out = T.matmul(weights, v)
     return AttentionOutput(values=out, weights=weights)
 

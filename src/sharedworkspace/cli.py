@@ -30,7 +30,7 @@ from .models import TimsModel
 from .optim import NumericError
 from .serialization import CheckpointError
 from .tasks import gen_copy, gen_sort_of_clevr, gen_triangles, save_dataset
-from .train import dataset, evaluate, load_model, resolve_task_fields, run_training
+from .train import dataset, evaluate, load_model, run_training
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 DATA_ROOT_ENV = "SHAREDWORKSPACE_DATA"
@@ -93,7 +93,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_task_fields(_assemble_config(args))
+    cfg = _assemble_config(args)
     out = Path(args.out)
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     summary = run_training(cfg, out, data_root=_data_root(args),

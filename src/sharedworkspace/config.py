@@ -109,6 +109,12 @@ class ModelConfig:
         return 2 * self.copy_len + 1
 
 
+# Sizes and counts: each must be at least 1 before any rule divides by one.
+_SIZES = ("n_layers", "n_h", "ffn_dim", "n_heads", "mem_heads", "key_dim", "value_dim",
+          "n_m", "n_s", "n_sel", "image_size", "patch_size", "copy_len", "batch_size",
+          "train_n", "test_n")
+
+
 def validate(cfg: ModelConfig) -> ModelConfig:
     if cfg.host not in HOSTS:
         raise ConfigError(f"unknown host {cfg.host!r}, expected one of {HOSTS}")
@@ -116,6 +122,13 @@ def validate(cfg: ModelConfig) -> ModelConfig:
         raise ConfigError(f"unknown task {cfg.task!r}, expected one of {TASKS}")
     if cfg.version != CONFIG_VERSION:
         raise ConfigError(f"config version {cfg.version} unsupported (expected {CONFIG_VERSION})")
+    for key in _SIZES:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.host == "rims_sw" and cfg.task != "triangles":
+        raise ConfigError("the recurrent-specialist host is bound to the triangles task")
+    if cfg.host == "tims_sw" and cfg.task != "copy":
+        raise ConfigError("the mechanism-partitioned host is bound to the copy task")
     if cfg.host == "tr_hsw" and cfg.topk is None:
         raise ConfigError("tr_hsw requires topk")
     # Ablation values a host would ignore are rejected, so that a run's
@@ -129,9 +142,6 @@ def validate(cfg: ModelConfig) -> ModelConfig:
         raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
     if cfg.host == "tims_sw" and cfg.n_h % cfg.n_s != 0:
         raise ConfigError(f"tims_sw needs n_h divisible by n_s ({cfg.n_h} % {cfg.n_s})")
-    for key in ("n_m", "n_h", "ffn_dim", "batch_size"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     if not isinstance(cfg.lr, (int, float)) or not math.isfinite(cfg.lr) or cfg.lr <= 0:
         raise ConfigError(f"lr must be a positive finite number, got {cfg.lr!r}")
     if cfg.task in ("triangles", "soc") and cfg.image_size % cfg.patch_size != 0:

@@ -120,7 +120,7 @@ def _workspace(cfg: ModelConfig, rng, dtype, n_s: int, **shape) -> SharedWorkspa
     """The host's workspace, sized by ``cfg``, over ``n_s`` specialists."""
     return SharedWorkspace(rng, n_s=n_s, n_h=cfg.n_h, n_m=cfg.n_m, n_heads=cfg.mem_heads,
                            key_dim=cfg.key_dim, value_dim=cfg.value_dim,
-                           gate_style=cfg.gate_style, dtype=dtype, prefix="ws", **shape)
+                           gate_style=cfg.gate_style, dtype=dtype, **shape)
 
 
 class _TransformerStack(T.Module):
@@ -427,7 +427,7 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     # mechanisms; non-selected scores are zeroed but not renormalized.
     scores = T.tsum(T.mul(hm, layer.w_c), axis=-1)      # (B, T, n_b)
     sel = topk_select(scores.data, layer.n_sel)
-    c_star = T.masked_softmax_retain(scores, sel.keep_mask, axis=-1)
+    c_star = T.softmax(scores, axis=-1, keep=sel.keep_mask)
 
     # Step 2: selected mechanisms self-attend over positions, residual.  All
     # mechanisms run in one call on the mechanism-major view (B, n_b, T, dm).
@@ -478,7 +478,7 @@ class TimsModel(CausalTransformerLM):
                                  max(cfg.ffn_dim // n_b, 4), n_heads=cfg.n_heads,
                                  key_dim=cfg.key_dim, value_dim=cfg.value_dim,
                                  dtype=dtype, prefix="modular")
-        self.workspace = _workspace(cfg, rng, dtype, n_b, read_q_dim=dm, read_out_dim=dm)
+        self.workspace = _workspace(cfg, rng, dtype, n_b, read_q_dim=dm)
 
     def _layers(self, h: Tensor, mask, drop, rng) -> Tensor:
         mono = lambda blk, h: _feed_forward(

@@ -498,36 +498,25 @@ def _softmax_forward(x, axis):
     return y
 
 
-def softmax(a, axis=-1) -> Tensor:
-    """Numerically stabilized softmax; all-masked rows return zeros."""
-    a = _astensor(a)
-    y = _softmax_forward(a.data, axis)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        def _bw(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot), fresh=True)
-        out._backward = _bw
-    return out
+def softmax(a, axis=-1, keep=None) -> Tensor:
+    """Numerically stabilized softmax; all-masked rows return zeros.
 
-
-def masked_softmax_retain(a, keep_mask, axis=-1) -> Tensor:
-    """Full softmax, then zero non-kept entries without renormalizing.
-
-    ``keep_mask`` is a constant 0/1 array broadcastable to ``a``.  Kept
-    entries retain their soft score from the full softmax, so with an
-    all-ones mask this is bitwise identical to ``softmax``.
+    ``keep`` is an optional constant 0/1 array broadcastable to ``a``: the
+    entries outside it are zeroed after the full softmax, without
+    renormalizing, so the kept entries retain their soft scores (top-k
+    competition).  An all-ones ``keep`` gives the bits of no ``keep``.
     """
     a = _astensor(a)
-    m = np.asarray(keep_mask, dtype=a.data.dtype)
     y = _softmax_forward(a.data, axis)
-    out_data = y * m
-    out = _make(out_data, (a,))
+    if keep is not None:
+        keep = np.asarray(keep, dtype=y.dtype)
+    out = _make(y if keep is None else y * keep, (a,))
     if out.requires_grad:
         def _bw(g):
-            gk = g * m
-            dot = (gk * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (gk - dot), fresh=True)
+            if keep is not None:
+                g = g * keep
+            dot = (g * y).sum(axis=axis, keepdims=True)
+            _accum(a, y * (g - dot), fresh=True)
         out._backward = _bw
     return out
 
@@ -545,17 +534,23 @@ def log_softmax(a, axis=-1) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
+def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     """Mean negative log-likelihood of integer ``targets`` under ``logits``.
 
     ``logits`` has shape (..., n_classes); ``targets`` the matching integer
-    shape.  Fused log-softmax keeps the op stable for large logits.
+    shape.  Fused log-softmax keeps the op stable for large logits.  With
+    ``weights``, a constant broadcastable to ``targets`` (the copy task's
+    0/1 echo-region mask), the mean is over the weighted positions:
+    ``sum(w * nll) / max(sum(w), 1)``.
     """
     targets = np.asarray(targets)
     lp = log_softmax(logits, axis=-1)
     flat = reshape(lp, (-1, logits.data.shape[-1]))
     picked = take(flat, (np.arange(flat.data.shape[0]), targets.reshape(-1)))
-    return mul(tsum(picked), -1.0 / picked.data.size)
+    if weights is None:
+        return mul(tsum(picked), -1.0 / picked.data.size)
+    w = np.broadcast_to(weights, targets.shape).reshape(-1).astype(flat.data.dtype)
+    return mul(tsum(mul(picked, w)), -1.0 / max(float(w.sum()), 1.0))
 
 
 # ---- composite layers -------------------------------------------------------

@@ -27,13 +27,8 @@ from .tasks import (SOC_RELATIONAL_BIT, copy_loss_mask, gen_copy, gen_sort_of_cl
 TEST_SEED_OFFSET = 100_003
 
 
-def resolve_task_fields(cfg: ModelConfig) -> ModelConfig:
-    """Check that the host runs on the configured task, then validate."""
-    if cfg.host == "rims_sw" and cfg.task != "triangles":
-        raise ConfigError("the recurrent-specialist host is bound to the triangles task")
-    if cfg.host == "tims_sw" and cfg.task != "copy":
-        raise ConfigError("the mechanism-partitioned host is bound to the copy task")
-    return validate(cfg)
+# ``config.validate`` under the name callers have used for it.
+resolve_task_fields = validate
 
 
 def _dataset_name(cfg: ModelConfig, n: int, seed: int) -> str:
@@ -92,16 +87,6 @@ def _batch_arrays(cfg: ModelConfig, data: dict, idx: np.ndarray) -> dict:
     return {"tokens": np.asarray(data["tokens"][idx])}
 
 
-def masked_cross_entropy(logits: T.Tensor, targets: np.ndarray, mask: np.ndarray) -> T.Tensor:
-    """Mean negative log-likelihood over the positions where mask is 1."""
-    v = logits.shape[-1]
-    lp = T.log_softmax(logits)
-    flat = T.reshape(lp, (-1, v))
-    picked = T.take(flat, (np.arange(flat.data.shape[0]), targets.reshape(-1)))
-    w = np.broadcast_to(mask, targets.shape).reshape(-1).astype(flat.data.dtype)
-    return T.mul(T.tsum(T.mul(picked, w)), -1.0 / max(float(w.sum()), 1.0))
-
-
 def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
     """Loss tensor plus a per-unit correctness vector (units: examples for
     the classifiers, echo-region tokens for the copy task)."""
@@ -110,7 +95,7 @@ def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
         inp, tgt = tokens[:, :-1], tokens[:, 1:]
         logits = model.forward(inp, rng=rng)
         mask = copy_loss_mask(tgt.shape[1])
-        loss = masked_cross_entropy(logits, tgt, mask)
+        loss = T.cross_entropy(logits, tgt, weights=mask)
         pred = logits.data.argmax(axis=-1)
         correct = (pred == tgt)[:, mask == 1].reshape(-1)
         return loss, correct
@@ -199,7 +184,7 @@ def _restore(params: dict, opt: Adam | None, tensors: dict) -> None:
 def load_model(checkpoint_path):
     """Rebuild the model recorded in a checkpoint; returns (model, config)."""
     tensors, meta = load_checkpoint(checkpoint_path)
-    cfg = resolve_task_fields(from_dict(meta.get("config")))
+    cfg = from_dict(meta.get("config"))
     model = build_model(cfg)
     _restore(model.parameters(), None, tensors)
     return model, cfg
@@ -221,7 +206,7 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
     raises NumericError; the rolling checkpoint of the last completed epoch
     stays on disk.
     """
-    cfg = resolve_task_fields(cfg)
+    cfg = validate(cfg)
     # Data first: a task parameter the generator rejects fails before the
     # run directory exists.
     train_d, test_d = dataset_pair(cfg, data_root)

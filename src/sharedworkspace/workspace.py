@@ -46,11 +46,9 @@ class SharedWorkspace(T.Module):
     """Parameters and operations of one shared workspace instance."""
 
     def __init__(self, rng: np.random.Generator, n_s: int, n_h: int, n_m: int,
-                 n_l: int | None = None, n_heads: int = 4, key_dim: int = 32,
-                 value_dim: int | None = None, gate_style: str = "unit",
-                 include_memory_rows: bool = False,
-                 read_q_dim: int | None = None, read_out_dim: int | None = None,
-                 dtype=np.float32, prefix: str = "ws"):
+                 n_heads: int = 4, key_dim: int = 32, value_dim: int | None = None,
+                 gate_style: str = "unit", include_memory_rows: bool = False,
+                 read_q_dim: int | None = None, dtype=np.float32):
         if n_m < 1:
             raise ConfigError("workspace needs at least one memory slot")
         if n_m >= n_s:
@@ -59,9 +57,9 @@ class SharedWorkspace(T.Module):
                 "bottleneck relative to the specialists", stacklevel=2)
         if gate_style not in ("unit", "memory"):
             raise ConfigError(f"unknown gate_style {gate_style!r}")
-        n_l = n_h if n_l is None else n_l
-        if include_memory_rows and n_l != n_h:
-            raise ConfigError("include_memory_rows requires n_l == n_h to stack [M; A]")
+        # Slots are as wide as the specialists, so a write over memory rows
+        # can stack [M; A].
+        n_l = n_h
         value_dim = key_dim if value_dim is None else value_dim
         self.n_s, self.n_h, self.n_m, self.n_l = n_s, n_h, n_m, n_l
         self.n_heads = n_heads
@@ -70,23 +68,22 @@ class SharedWorkspace(T.Module):
         self.include_memory_rows = include_memory_rows
         self.dtype = dtype
 
-        # Readers may live in a different width than writers (e.g. narrow
-        # mechanisms reading from wide slots); default is the specialist dim.
+        # Readers may be narrower than the slots (TIMs mechanisms read from
+        # wide slots); they read back at their own width.
         read_q_dim = n_h if read_q_dim is None else read_q_dim
-        read_out_dim = read_q_dim if read_out_dim is None else read_out_dim
         self.write_proj = ProjectionSet(rng, n_l, n_h, n_l, n_heads, key_dim, value_dim,
-                                        dtype, f"{prefix}.write")
-        self.read_proj = ProjectionSet(rng, read_q_dim, n_l, read_out_dim, n_heads,
-                                       key_dim, value_dim, dtype, f"{prefix}.read")
+                                        dtype, "ws.write")
+        self.read_proj = ProjectionSet(rng, read_q_dim, n_l, read_q_dim, n_heads,
+                                       key_dim, value_dim, dtype, "ws.read")
         # Gating per the input/forget construction; W1 is shared across all
         # specialists (a single instance regardless of n_s).
         gate_out = n_l if gate_style == "unit" else 1
-        self.w1 = T.linear_init(rng, n_h, n_l, dtype, f"{prefix}.gate.w1")
-        self.w_i = T.linear_init(rng, n_l, gate_out, dtype, f"{prefix}.gate.w_i")
-        self.w_f = T.linear_init(rng, n_l, gate_out, dtype, f"{prefix}.gate.w_f")
-        self.b_i = T.zeros((gate_out,), dtype, requires_grad=True, name=f"{prefix}.gate.b_i")
-        self.b_f = T.zeros((gate_out,), dtype, requires_grad=True, name=f"{prefix}.gate.b_f")
-        self.init_memory = T.uniform_init(rng, (n_m, n_l), 0.01, dtype, f"{prefix}.init_memory")
+        self.w1 = T.linear_init(rng, n_h, n_l, dtype, "ws.gate.w1")
+        self.w_i = T.linear_init(rng, n_l, gate_out, dtype, "ws.gate.w_i")
+        self.w_f = T.linear_init(rng, n_l, gate_out, dtype, "ws.gate.w_f")
+        self.b_i = T.zeros((gate_out,), dtype, requires_grad=True, name="ws.gate.b_i")
+        self.b_f = T.zeros((gate_out,), dtype, requires_grad=True, name="ws.gate.b_f")
+        self.init_memory = T.uniform_init(rng, (n_m, n_l), 0.01, dtype, "ws.init_memory")
 
     # ---- operations ---------------------------------------------------------
 

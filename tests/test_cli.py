@@ -109,11 +109,30 @@ def test_invalid_config_exits_1(tmp_path):
                                        ("lr", "0"),
                                        # values not of the field's declared type
                                        ("n_h", "abc"), ("epochs", "x"), ("n_h", "true"),
-                                       ("persistent_memory", "1"), ("lr", "3e-x")])
+                                       ("persistent_memory", "1"), ("lr", "3e-x"),
+                                       # every size and count is at least 1
+                                       ("copy_len", "0"), ("copy_len", "-1"),
+                                       ("value_dim", "0"), ("key_dim", "0"),
+                                       ("n_layers", "0"), ("n_heads", "0"),
+                                       ("mem_heads", "0"), ("n_s", "0"), ("n_sel", "0"),
+                                       ("train_n", "0"), ("test_n", "0")])
 def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     code = main(["train", "--host", "tr_ssw", "--task", "copy", "--out", str(out),
                  "--set", f"{key}={value}"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task,key", [("triangles", "patch_size"), ("triangles", "image_size"),
+                                      ("soc", "patch_size"), ("soc", "image_size")])
+def test_zero_image_or_patch_size_exits_1_before_run_dir(tmp_path, capsys, task, key):
+    # The vision tasks read these sizes; the copy task ignores them.
+    out = tmp_path / "run"
+    code = main(["train", "--host", "tr", "--task", task, "--out", str(out), "--epochs", "1",
+                 "--set", "train_n=8", "--set", "test_n=4", "--set", f"{key}=0"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err

@@ -240,7 +240,7 @@ def rims_setup(n_sel, dtype=np.float64, seed=7):
     rng = np.random.default_rng(seed)
     n_s, n_h, n_m, in_dim = 4, 6, 2, 5
     cell = RimsCell(rng, n_s, n_h, in_dim, n_sel, key_dim=4, dtype=dtype)
-    ws = SharedWorkspace(rng, n_s=n_s, n_h=n_h, n_m=n_m, n_l=n_h, n_heads=1,
+    ws = SharedWorkspace(rng, n_s=n_s, n_h=n_h, n_m=n_m, n_heads=1,
                          key_dim=4, value_dim=4, include_memory_rows=True, dtype=dtype)
     b = 3
     z = Tensor(rng.normal(size=(b, in_dim + 2, in_dim)).astype(dtype))
@@ -351,9 +351,9 @@ def tims_setup(n_sel, dtype=np.float64, seed=8):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ws = SharedWorkspace(rng, n_s=n_b, n_h=n_l, n_m=n_m, n_l=n_l, n_heads=1,
+        ws = SharedWorkspace(rng, n_s=n_b, n_h=n_l, n_m=n_m, n_heads=1,
                              key_dim=3, value_dim=3, include_memory_rows=True,
-                             read_q_dim=dm, read_out_dim=dm, dtype=dtype)
+                             read_q_dim=dm, dtype=dtype)
     h = Tensor(rng.normal(size=(2, 5, n_b * dm)).astype(dtype))
     return layer, ws, h
 
@@ -441,6 +441,82 @@ def test_tims_layer_matches_straight_line_oracle():
         out_expect[:, :, k] += np.maximum(y[:, :, k] @ layer.ffn_w1.data[k], 0.0) \
             @ layer.ffn_w2.data[k]
     np.testing.assert_allclose(out.data, out_expect.reshape(b, n_t, -1), atol=1e-10)
+
+
+def test_tims_layer_at_the_host_workspace_matches_straight_line_oracle():
+    """The modular layer and workspace as ``TimsModel`` builds them: slots as
+    wide as the model, no memory rows in the write, mechanisms reading at
+    their own width, two heads everywhere, causal self-attention."""
+    m = build_model(toy("tims_sw", task="copy", n_h=12, n_s=3, n_sel=2), dtype=np.float64)
+    layer, ws = m.modular, m.workspace
+    assert not ws.include_memory_rows and ws.n_l == 12 and ws.read_proj.w_q.shape[0] == 4
+    rng = np.random.default_rng(10)
+    ws.init_memory.data[:] = rng.normal(scale=0.5, size=ws.init_memory.shape)
+    b, n_t, n_b, dm = 2, 5, 3, 4
+    h = Tensor(rng.normal(size=(b, n_t, n_b * dm)))
+    state = ws.reset((b, n_t))
+    out, st, sel = tims_sw_layer(layer, ws, state, h, causal=True)
+
+    def mha(xq, xkv, w_q, w_e, w_v, w_o, n_heads, mask=None):
+        dk, dv = w_q.shape[-1] // n_heads, w_v.shape[-1] // n_heads
+        q, k, v = xq @ w_q, xkv @ w_e, xkv @ w_v
+        heads = []
+        for j in range(n_heads):
+            sk, sv = slice(j * dk, (j + 1) * dk), slice(j * dv, (j + 1) * dv)
+            s = q[:, sk] @ k[:, sk].T / math.sqrt(dk)
+            if mask is not None:
+                s = np.where(mask, s, -np.inf)
+            heads.append(softmax_np(s) @ v[:, sv])
+        return np.concatenate(heads, axis=-1) @ w_o
+
+    def ln(x, g, bias):
+        mu = x.mean(-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(-1, keepdims=True)
+        return (x - mu) / np.sqrt(var + 1e-5) * g + bias
+
+    hm = h.data.reshape(b, n_t, n_b, dm)
+    scores = (hm * layer.w_c.data).sum(-1)
+    top = np.sort(np.argsort(-scores, axis=-1, kind="stable")[..., :2], axis=-1)
+    np.testing.assert_array_equal(top, sel.indices)
+    keep = np.zeros_like(scores)
+    np.put_along_axis(keep, top, 1.0, axis=-1)
+    c_star = softmax_np(scores) * keep
+
+    xn = ln(hm, layer.ln1.g.data, layer.ln1.b.data)
+    p = layer.sa
+    att = np.zeros_like(hm)
+    causal = np.tril(np.ones((n_t, n_t), dtype=bool))
+    for k in range(n_b):
+        for bi in range(b):
+            x = xn[bi, :, k]
+            att[bi, :, k] = mha(x, x, p.w_q.data[k], p.w_e.data[k], p.w_v.data[k],
+                                p.w_o.data[k], p.n_heads, causal)
+    h_bar = hm + c_star[..., None] * att
+
+    rows = (c_star[..., None] * h_bar).reshape(b, n_t, n_b * dm) @ layer.w_a.data
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    wp, rp = ws.write_proj, ws.read_proj
+    mem = np.zeros((b, n_t, ws.n_m, ws.n_l))
+    out_expect = np.zeros_like(h_bar)
+    for bi in range(b):
+        for t in range(n_t):
+            prev = state.memory.data[bi, t]
+            cand = mha(prev, rows[bi, t][None], wp.w_q.data, wp.w_e.data, wp.w_v.data,
+                       wp.w_o.data, wp.n_heads)
+            kk = np.maximum(rows[bi, t] @ ws.w1.data, 0.0) + np.tanh(prev)
+            gi = sig(kk @ ws.w_i.data + ws.b_i.data)
+            gf = sig(kk @ ws.w_f.data + ws.b_f.data)
+            mem[bi, t] = gi * np.tanh(cand) + gf * prev
+            out_expect[bi, t] = h_bar[bi, t] + mha(h_bar[bi, t], mem[bi, t], rp.w_q.data,
+                                                   rp.w_e.data, rp.w_v.data, rp.w_o.data,
+                                                   rp.n_heads)
+    np.testing.assert_allclose(st.memory.data, mem, rtol=0, atol=1e-10)
+
+    y = ln(out_expect, layer.ln2.g.data, layer.ln2.b.data)
+    for k in range(n_b):
+        out_expect[:, :, k] += np.maximum(y[:, :, k] @ layer.ffn_w1.data[k], 0.0) \
+            @ layer.ffn_w2.data[k]
+    np.testing.assert_allclose(out.data, out_expect.reshape(b, n_t, -1), rtol=0, atol=1e-10)
 
 
 def test_tims_causality_bitwise():

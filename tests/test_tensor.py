@@ -395,8 +395,29 @@ def test_masked_softmax_retain_all_ones_is_softmax_bitwise():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 6))
     soft = T.softmax(t64(x)).data
-    kept = T.masked_softmax_retain(t64(x), np.ones((3, 6))).data
+    kept = T.softmax(t64(x), keep=np.ones((3, 6))).data
     assert (soft == kept).all()
+
+
+def test_softmax_keep_gradcheck_every_entry():
+    # Rows: a partial keep, a partial keep over masked scores, a row entirely
+    # at the sentinel (zeros out, zero gradient) and an all-ones keep.
+    rng = np.random.default_rng(24)
+    x = rng.normal(size=(4, 6))
+    x[1, :2] = T.MASK_VALUE
+    x[2] = T.MASK_VALUE
+    keep = np.array([[1, 0, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0],
+                     [1, 1, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]])
+    w = rng.normal(size=(4, 6))
+    a = t64(x, requires_grad=True, name="a")
+
+    def f(p):
+        return T.tsum(T.mul(T.softmax(p["a"], keep=keep), w))
+    rep = grad_check(f, {"a": a}, max_entries_per_param=None)
+    assert rep.max_rel_err < 1e-8, rep.per_param
+    assert (a.grad[2] == 0.0).all()      # left by grad_check's backward
+    out = T.softmax(a, keep=keep).data
+    assert (out[keep == 0] == 0.0).all() and (out[2] == 0.0).all()
 
 
 # ---- grad_check --------------------------------------------------------------
@@ -533,6 +554,20 @@ def test_cross_entropy_gradcheck():
         return T.cross_entropy(p["x"], targets)
     rep = grad_check(f, {"x": x}, max_entries_per_param=None)
     assert rep.passed
+
+
+def test_weighted_cross_entropy_gradcheck_every_entry():
+    rng = np.random.default_rng(3)
+    x = t64(rng.normal(size=(2, 4, 3)), requires_grad=True, name="x")
+    targets = rng.integers(0, 3, size=(2, 4))
+    weights = np.array([0, 1, 1, 0])      # broadcast over the batch axis
+    def f(p):
+        return T.cross_entropy(p["x"], targets, weights=weights)
+    rep = grad_check(f, {"x": x}, max_entries_per_param=None)
+    assert rep.max_rel_err < 1e-8, rep.per_param
+    lp = x.data - np.log(np.exp(x.data).sum(-1, keepdims=True))
+    nll = -np.take_along_axis(lp, targets[..., None], -1)[..., 0]
+    assert abs(f({"x": x}).item() - nll[:, 1:3].mean()) < 1e-12
 
 
 # ---- Adam ---------------------------------------------------------------------

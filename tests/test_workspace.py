@@ -111,7 +111,7 @@ def test_write_nan_specialists_rejected():
 
 def test_include_memory_rows_concatenates_memory_keys():
     rng = np.random.default_rng(4)
-    ws = make_ws(rng, n_l=8, include_memory_rows=True)
+    ws = make_ws(rng, include_memory_rows=True)
     spec = rng.normal(size=(5, 8))
     state = ws.reset(())
     cand, att = ws.write_step(state, t64(spec))
@@ -121,15 +121,9 @@ def test_include_memory_rows_concatenates_memory_keys():
     assert np.abs(cand.data - expect).max() < 1e-12
 
 
-def test_include_memory_rows_requires_matching_dims():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ConfigError):
-        make_ws(rng, n_l=4, include_memory_rows=True)
-
-
 def test_topk_write_rejected_with_memory_rows():
     rng = np.random.default_rng(6)
-    ws = make_ws(rng, n_l=8, include_memory_rows=True)
+    ws = make_ws(rng, include_memory_rows=True)
     state = ws.reset(())
     spec = t64(rng.normal(size=(5, 8)))
     with pytest.raises(ConfigError, match="include_memory_rows"):

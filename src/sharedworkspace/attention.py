@@ -41,45 +41,34 @@ class SelectionPin:
 
     Hard selection makes the loss piecewise smooth; finite-difference
     verification needs the routing frozen so that it differentiates a single
-    smooth branch.  Use ``pinned_selections`` around the forwards and call
-    ``restart()`` at the start of each one; selections are replayed in call
-    order.
+    smooth branch.  Run each forward inside ``with pin:``, which installs the
+    pin and rewinds it: the first forward records every selection in call
+    order, and later forwards get the recorded ones back.
     """
 
     def __init__(self):
         self._recorded = []
         self._cursor = 0
 
-    def restart(self):
-        self._cursor = 0
-
-    def next_indices(self, compute):
-        if self._cursor < len(self._recorded):
-            idx = self._recorded[self._cursor]
-        else:
-            idx = compute()
-            self._recorded.append(idx)
-        self._cursor += 1
-        return idx
-
-
-_active_pin: SelectionPin | None = None
-
-
-class pinned_selections:
-    def __init__(self, pin: SelectionPin):
-        self.pin = pin
-
     def __enter__(self):
         global _active_pin
-        self._prev = _active_pin
-        _active_pin = self.pin
-        return self.pin
+        self._prev, _active_pin = _active_pin, self
+        self._cursor = 0
+        return self
 
     def __exit__(self, *exc):
         global _active_pin
         _active_pin = self._prev
         return False
+
+    def select(self, compute) -> SelectionResult:
+        if self._cursor == len(self._recorded):
+            self._recorded.append(compute())
+        self._cursor += 1
+        return self._recorded[self._cursor - 1]
+
+
+_active_pin: SelectionPin | None = None
 
 
 def topk_select(scores, k: int) -> SelectionResult:
@@ -105,10 +94,7 @@ def topk_select(scores, k: int) -> SelectionResult:
             keep[redo] = rank < k
         return SelectionResult(keep, k)
 
-    if _active_pin is None:
-        return compute()
-    idx = _active_pin.next_indices(lambda: compute().indices)
-    return SelectionResult((idx[..., None] == np.arange(n)).any(axis=-2), k)
+    return compute() if _active_pin is None else _active_pin.select(compute)
 
 
 def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask=None,

@@ -99,15 +99,6 @@ def workspace_flops(n_s: int, n_m: int, d: int) -> int:
     return terms["total"] - terms["write"]["proj_out"] - terms["read"]["proj_out"]
 
 
-def count_flops(mechanism: str, n_s: int, n_m: int, d: int) -> int:
-    """Analytic multiply-add count per stage for either mechanism."""
-    if mechanism == "pairwise":
-        return pairwise_flops(n_s, d)
-    if mechanism == "workspace":
-        return workspace_flops(n_s, n_m, d)
-    raise ConfigError(f"unknown mechanism {mechanism!r}")
-
-
 def _time_stage(stage, repeats: int) -> float:
     """Median wall time per call in ns, with warmup and tick-aware batching."""
     stage()
@@ -180,12 +171,3 @@ def write_csv(path, results) -> None:
         for r in results:
             writer.writerow(asdict(r))
 
-
-def read_csv(path) -> list[BenchResult]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(BenchResult(row["mechanism"], int(row["n_s"]), int(row["n_m"]),
-                                   int(row["d"]), int(row["flops_analytic"]),
-                                   float(row["wall_ns"]), int(row["bytes_touched"])))
-    return out

@@ -57,21 +57,18 @@ def _parse_set(pairs: list[str]) -> dict:
 
 
 def _assemble_config(args) -> ModelConfig:
+    """The config file, overridden by ``--set`` and the flags.  Two
+    command-line values for one key (a flag and a ``--set``, or ``--host``
+    and ``--2xsa``) that disagree are a ConfigError."""
     overrides = _parse_set(args.set or [])
-    for key in ("host", "task", "seed", "epochs"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "no_persistence", False):
-        overrides["persistent_memory"] = False
-    if getattr(args, "two_xsa", False):
-        overrides["host"] = "tr_2xsa"
-    if getattr(args, "sw_plus_sa", False):
-        overrides["sw_plus_sa"] = True
-    if getattr(args, "slots", None) is not None:
-        overrides["n_m"] = args.slots
-    if getattr(args, "topk", None) is not None:
-        overrides["topk"] = args.topk
+    flags = [(key, getattr(args, key)) for key in ("host", "task", "seed", "epochs", "topk")]
+    flags += [("host", "tr_2xsa" if args.two_xsa else None), ("n_m", args.slots),
+              ("persistent_memory", False if args.no_persistence else None),
+              ("sw_plus_sa", True if args.sw_plus_sa else None)]
+    for key, value in flags:
+        if value is not None and overrides.setdefault(key, value) != value:
+            raise ConfigError(f"{key} is given two values on the command line: "
+                              f"{overrides[key]!r} and {value!r}")
     return from_yaml(args.config, overrides) if args.config else from_dict({}, overrides)
 
 

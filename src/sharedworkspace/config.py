@@ -25,6 +25,7 @@ import yaml
 
 from . import tasks
 from .errors import ConfigError
+from .workspace import GATE_STYLES
 
 CONFIG_VERSION = 1
 
@@ -108,6 +109,15 @@ class ModelConfig:
         # delimiter + prefix echo
         return 2 * self.copy_len + 1
 
+    @property
+    def n_writers(self) -> int:
+        """Tokens that compete to write into a transformer host's workspace:
+        the CLS token, the patches and the scene question on the vision
+        tasks; the ``seq_len - 1`` positions a copy LM is fed."""
+        if self.task == "copy":
+            return 2 * self.copy_len
+        return 1 + self.n_patches + (1 if self.task == "soc" else 0)
+
 
 # Sizes and counts: each must be at least 1 before any rule divides by one.
 _SIZES = ("n_layers", "n_h", "ffn_dim", "n_heads", "mem_heads", "key_dim", "value_dim",
@@ -138,6 +148,8 @@ def validate(cfg: ModelConfig) -> ModelConfig:
     if (not cfg.persistent_memory or cfg.sw_plus_sa) and cfg.host not in ("tr_ssw", "tr_hsw"):
         raise ConfigError(f"persistent_memory=False and sw_plus_sa apply only to "
                           f"tr_ssw and tr_hsw, not {cfg.host}")
+    if cfg.gate_style not in GATE_STYLES:
+        raise ConfigError(f"unknown gate_style {cfg.gate_style!r}, expected one of {GATE_STYLES}")
     if cfg.host in ("rims_sw", "tims_sw") and cfg.n_sel > cfg.n_s:
         raise ConfigError(f"n_sel={cfg.n_sel} exceeds n_s={cfg.n_s}")
     if cfg.host == "tims_sw" and cfg.n_h % cfg.n_s != 0:
@@ -146,6 +158,8 @@ def validate(cfg: ModelConfig) -> ModelConfig:
         raise ConfigError(f"lr must be a positive finite number, got {cfg.lr!r}")
     if cfg.task in ("triangles", "soc") and cfg.image_size % cfg.patch_size != 0:
         raise ConfigError(f"patch_size {cfg.patch_size} must divide image_size {cfg.image_size}")
+    if cfg.topk is not None and not 1 <= cfg.topk <= cfg.n_writers:
+        raise ConfigError(f"topk={cfg.topk} out of range for the host's {cfg.n_writers} writers")
     if cfg.task == "copy" and cfg.vocab_size < 2:
         raise ConfigError("copy task needs vocab_size >= 2 (one symbol is the delimiter)")
     if not 0.0 <= cfg.dropout < 1.0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import SelectionPin, pinned_selections
+from .attention import SelectionPin
 from .config import HOSTS, ModelConfig
 from .errors import ConfigError
 from .gradcheck import GradCheckReport, grad_check
@@ -77,8 +77,7 @@ def host_grad_check(host: str, max_entries: int = 4, seed: int = 10) -> GradChec
     pin = SelectionPin()
 
     def f(p):
-        with pinned_selections(pin):
-            pin.restart()
+        with pin:
             logits = model.forward(*batch[:-1])
         return T.cross_entropy(logits, batch[-1])
 

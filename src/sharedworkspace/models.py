@@ -87,10 +87,6 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, (h // patch) * (w // patch), patch * patch * c)
 
 
-def count_parameters(model) -> int:
-    return int(sum(p.size for p in model.parameters().values()))
-
-
 def _checked_rng(cfg: ModelConfig, rng, hosts, kind: str):
     """Validate ``cfg`` for a host class; returns the init generator."""
     validate(cfg)
@@ -218,7 +214,7 @@ class TransformerClassifier(_TransformerStack):
         rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "transformer classifier")
         n_h = cfg.n_h
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
-        self.max_tokens = 1 + cfg.n_patches + (1 if cfg.task == "soc" else 0)
+        self.max_tokens = cfg.n_writers
         self.embed = Dense(rng, patch_dim, n_h, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, n_h), 0.02, dtype, "pos")
         self.cls = T.uniform_init(rng, (1, n_h), 0.02, dtype, "cls")

@@ -270,44 +270,28 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
             train_acc = run_correct / run_units
             metrics.log(step, epoch, "train", train_loss, train_acc)
             ev = evaluate(model, cfg, test_d)
-            metrics.log(step, epoch, "test", ev["loss"], ev["accuracy"])
-            if "accuracy_relational" in ev:
-                metrics.log(step, epoch, "test_relational", ev["loss"],
-                            ev["accuracy_relational"])
-                metrics.log(step, epoch, "test_nonrelational", ev["loss"],
-                            ev["accuracy_nonrelational"])
+            record = {"epoch": epoch, "train_loss": train_loss,
+                      "train_accuracy": train_acc, "test_loss": ev["loss"]}
+            # "accuracy", then on the scene task its relational split.
+            for key, acc in ev.items():
+                if key.startswith("accuracy"):
+                    metrics.log(step, epoch, key.replace("accuracy", "test"), ev["loss"], acc)
+                    record[f"test_{key}"] = acc
+            history.append(record)
 
             if ev["accuracy"] > best_acc:
                 best_acc = ev["accuracy"]
                 checkpoint(best_path, epoch + 1, step, best_acc)
             checkpoint(last_path, epoch + 1, step, best_acc)
-
-            record = {"epoch": epoch, "train_loss": train_loss,
-                      "train_accuracy": train_acc, "test_loss": ev["loss"],
-                      "test_accuracy": ev["accuracy"]}
-            for key in ("accuracy_relational", "accuracy_nonrelational"):
-                if key in ev:
-                    record[f"test_{key}"] = ev[key]
-            history.append(record)
             if log is not None:
                 log(f"epoch {epoch:3d}  lr {lr:.2e}  "
                     f"train loss {train_loss:.4f} acc {train_acc:.4f}  "
                     f"test loss {ev['loss']:.4f} acc {ev['accuracy']:.4f}")
 
     return {
-        "epochs_run": end_epoch - start_epoch,
         "best_test_accuracy": best_acc,
-        "final_test_accuracy": history[-1]["test_accuracy"] if history else best_acc,
         "history": history,
         "metrics_path": str(out / "metrics.jsonl"),
         "checkpoints": {"last": str(last_path), "best": str(best_path)},
     }
 
-
-def epochs_to_accuracy(history: list[dict], threshold: float,
-                       key: str = "test_accuracy") -> int | None:
-    """1-based epoch count until ``key`` first reaches ``threshold``."""
-    for rec in history:
-        if rec[key] >= threshold:
-            return rec["epoch"] + 1
-    return None

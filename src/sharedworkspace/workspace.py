@@ -41,6 +41,9 @@ class WorkspaceState:
     """
     memory: Tensor
 
+# "unit": a gate per slot unit; "memory": one gate per slot.
+GATE_STYLES = ("unit", "memory")
+
 
 class SharedWorkspace(T.Module):
     """Parameters and operations of one shared workspace instance."""
@@ -55,7 +58,7 @@ class SharedWorkspace(T.Module):
             warnings.warn(
                 f"n_m={n_m} >= n_s={n_s}: the workspace is no longer a bandwidth "
                 "bottleneck relative to the specialists", stacklevel=2)
-        if gate_style not in ("unit", "memory"):
+        if gate_style not in GATE_STYLES:
             raise ConfigError(f"unknown gate_style {gate_style!r}")
         # Slots are as wide as the specialists, so a write over memory rows
         # can stack [M; A].

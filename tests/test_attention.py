@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sharedworkspace import tensor as T
 from sharedworkspace.attention import (ProjectionSet, SelectionPin, multihead,
-                                       pinned_selections, scaled_dot_attention, topk_select)
+                                       scaled_dot_attention, topk_select)
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.tensor import Tensor
 
@@ -161,13 +161,30 @@ def test_topk_replays_pinned_selection():
     rng = np.random.default_rng(13)
     first, second = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
     pin = SelectionPin()
-    with pinned_selections(pin):
+    with pin:
         recorded = topk_select(first, 2).indices
-        pin.restart()
+    with pin:
         replayed = topk_select(second, 2)
     np.testing.assert_array_equal(recorded, stable_sort_topk(first, 2))
     np.testing.assert_array_equal(replayed.indices, recorded)
     assert (replayed.keep_mask.sum(axis=-1) == 2).all()
+
+    # Leaving a nested pin restores the outer one, whose cursor kept going.
+    third = rng.normal(size=(4, 6))
+    inner = SelectionPin()
+    with pin:
+        topk_select(second, 2)
+        with inner:
+            np.testing.assert_array_equal(topk_select(second, 2).indices,
+                                          stable_sort_topk(second, 2))
+        appended = topk_select(third, 2).indices
+    np.testing.assert_array_equal(appended, stable_sort_topk(third, 2))
+    with pin:
+        topk_select(second, 2)
+        np.testing.assert_array_equal(topk_select(first, 2).indices, appended)
+    # Outside every pin, selection is computed afresh.
+    np.testing.assert_array_equal(topk_select(second, 2).indices,
+                                  stable_sort_topk(second, 2))
 
 
 def test_topk_out_of_range_rejected():

@@ -104,22 +104,37 @@ def test_invalid_config_exits_1(tmp_path):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("key,value", [("batch_size", "0"), ("n_h", "0"),
-                                       ("ffn_dim", "0"), ("lr", "nan"), ("lr", ".nan"),
-                                       ("lr", "0"),
-                                       # values not of the field's declared type
-                                       ("n_h", "abc"), ("epochs", "x"), ("n_h", "true"),
-                                       ("persistent_memory", "1"), ("lr", "3e-x"),
-                                       # every size and count is at least 1
-                                       ("copy_len", "0"), ("copy_len", "-1"),
-                                       ("value_dim", "0"), ("key_dim", "0"),
-                                       ("n_layers", "0"), ("n_heads", "0"),
-                                       ("mem_heads", "0"), ("n_s", "0"), ("n_sel", "0"),
-                                       ("train_n", "0"), ("test_n", "0")])
-def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, value):
+_COPY = ["--host", "tr_ssw", "--task", "copy"]
+
+
+@pytest.mark.parametrize("key,argv", [
+    *(pytest.param(key, [*_COPY, "--set", f"{key}={value}"], id=f"{key}-{value}")
+      for key, value in [("batch_size", "0"), ("n_h", "0"),
+                         ("ffn_dim", "0"), ("lr", "nan"), ("lr", ".nan"),
+                         ("lr", "0"),
+                         # values not of the field's declared type
+                         ("n_h", "abc"), ("epochs", "x"), ("n_h", "true"),
+                         ("persistent_memory", "1"), ("lr", "3e-x"),
+                         # every size and count is at least 1
+                         ("copy_len", "0"), ("copy_len", "-1"),
+                         ("value_dim", "0"), ("key_dim", "0"),
+                         ("n_layers", "0"), ("n_heads", "0"),
+                         ("mem_heads", "0"), ("n_s", "0"), ("n_sel", "0"),
+                         ("train_n", "0"), ("test_n", "0"),
+                         ("gate_style", "foo")]),
+    # topk runs from 1 to the writer count: 2·copy_len = 10 positions on
+    # copy, CLS + 16 patches on triangles
+    pytest.param("topk", ["--host", "tr_hsw", "--task", "copy", "--topk", "0"], id="topk-0"),
+    pytest.param("topk", ["--host", "tr_hsw", "--task", "copy", "--topk", "11"],
+                 id="topk-11-copy"),
+    pytest.param("topk", ["--host", "tr_hsw", "--task", "triangles", "--topk", "18"],
+                 id="topk-18-triangles"),
+    # two command-line values for one key
+    pytest.param("host", ["--host", "tr_ssw", "--2xsa", "--task", "copy"], id="host-2xsa"),
+    pytest.param("n_m", [*_COPY, "--slots", "3", "--set", "n_m=2"], id="n_m-slots")])
+def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, argv):
     out = tmp_path / "run"
-    code = main(["train", "--host", "tr_ssw", "--task", "copy", "--out", str(out),
-                 "--set", f"{key}={value}"])
+    code = main(["train", *argv, "--out", str(out)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
@@ -224,6 +239,11 @@ def test_ablation_flags_flow_into_config():
     assert cfg.n_m == 6
     args = parser.parse_args(["train", "--2xsa", "--out", "x"])
     assert _assemble_config(args).host == "tr_2xsa"
+    # Two command-line values for one key are accepted when they agree.
+    args = parser.parse_args(["train", "--host", "tr_2xsa", "--2xsa", "--slots", "3",
+                              "--set", "n_m=3", "--out", "x"])
+    cfg = _assemble_config(args)
+    assert (cfg.host, cfg.n_m) == ("tr_2xsa", 3)
     args = parser.parse_args(["train", "--host", "tr_hsw", "--topk", "3", "--out", "x"])
     assert _assemble_config(args).topk == 3
 

@@ -12,7 +12,7 @@ from sharedworkspace.gradcheck import grad_check
 from sharedworkspace.hostcheck import toy_batch, toy_config
 from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     TimsLayer, TimsModel, TransformerClassifier,
-                                    build_model, causal_mask, count_parameters,
+                                    build_model, causal_mask,
                                     patchify, rims_sw_step, tims_sw_layer)
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.train import batch_loss, resolve_task_fields
@@ -41,6 +41,16 @@ def softmax_np(x, axis=-1):
 def test_hsw_requires_topk():
     with pytest.raises(ConfigError, match="topk"):
         validate(toy("tr_hsw"))
+
+
+@pytest.mark.parametrize("task,n_writers", [("triangles", 5), ("soc", 6), ("copy", 6)])
+def test_topk_bounded_by_writer_count(task, n_writers):
+    # CLS + 4 patches (+ the scene question); 2·copy_len fed positions.
+    assert toy("tr_hsw", task=task, topk=1).n_writers == n_writers
+    validate(toy("tr_hsw", task=task, topk=n_writers))
+    for k in (0, n_writers + 1):
+        with pytest.raises(ConfigError, match="topk"):
+            validate(toy("tr_hsw", task=task, topk=k))
 
 
 def test_nsel_bounded_by_ns():
@@ -178,7 +188,7 @@ def test_2xsa_parameter_count_near_ssw():
                 gate_style="memory")
     ssw = build_model(toy("tr_ssw", **dims))
     sa2 = build_model(toy("tr_2xsa", **dims))
-    n_ssw, n_sa2 = count_parameters(ssw), count_parameters(sa2)
+    n_ssw, n_sa2 = (sum(p.size for p in m.parameters().values()) for m in (ssw, sa2))
     assert abs(n_ssw - n_sa2) / n_ssw < 0.10, (n_ssw, n_sa2)
 
 
@@ -534,7 +544,7 @@ def test_tims_causality_bitwise():
 def test_tims_layer_gradcheck_every_entry():
     # The host check probes 4 entries per tensor, so it sees only a few of
     # the stacked mechanisms' projection weights; this one probes them all.
-    from sharedworkspace.attention import SelectionPin, pinned_selections
+    from sharedworkspace.attention import SelectionPin
 
     layer, ws, h = tims_setup(n_sel=2)
     params = {**layer.parameters(), **ws.parameters()}
@@ -547,51 +557,11 @@ def test_tims_layer_gradcheck_every_entry():
     pin = SelectionPin()
 
     def f(p):
-        with pinned_selections(pin):
-            pin.restart()
+        with pin:
             out, st, _ = tims_sw_layer(layer, ws, ws.reset((2, 5)), h, causal=True)
         return T.add(T.tsum(T.mul(out, w_out)), T.tsum(T.mul(st.memory, w_mem)))
 
     rep = grad_check(f, params, max_entries_per_param=None)
-    assert rep.passed, sorted(rep.per_param.items(), key=lambda kv: -kv[1])[:5]
-
-
-# ---- end-to-end gradient checks ----------------------------------------------
-
-
-def e2e_gradcheck(cfg, make_batch, max_entries=4):
-    from sharedworkspace.attention import SelectionPin, pinned_selections
-
-    m = build_model(cfg, dtype=np.float64)
-    if getattr(m, "workspace", None) is not None:
-        # Check at a non-degenerate point: at the near-zero learned initial
-        # memory the read-path gradients sit below finite-difference roundoff.
-        prng = np.random.default_rng(99)
-        m.workspace.init_memory.data[:] = prng.normal(
-            scale=0.5, size=m.workspace.init_memory.shape)
-    params = m.parameters()
-    batch = make_batch()
-    pin = SelectionPin()   # freeze hard routing so FD sees a smooth branch
-
-    def f(p):
-        with pinned_selections(pin):
-            pin.restart()
-            logits = m.forward(*batch[:-1])
-        return T.cross_entropy(logits, batch[-1])
-
-    return grad_check(f, params, max_entries_per_param=max_entries)
-
-
-@pytest.mark.parametrize("host,task", [("tr_ssw", "triangles"), ("tr_hsw", "copy")])
-def test_end_to_end_gradcheck_sample_hosts(host, task):
-    kw = {"topk": 3} if host == "tr_hsw" else {}
-    cfg = toy(host, task=task, **kw)
-    rng = np.random.default_rng(10)
-    if task == "copy":
-        batch = (rng.integers(0, 5, size=(2, 7)), rng.integers(0, 5, size=(2, 7)))
-    else:
-        batch = (rng.random((2, 16, 16)), rng.integers(0, 2, size=2))
-    rep = e2e_gradcheck(cfg, lambda: batch)
     assert rep.passed, sorted(rep.per_param.items(), key=lambda kv: -kv[1])[:5]
 
 

@@ -13,9 +13,8 @@ from sharedworkspace.models import build_model
 from sharedworkspace.optim import NumericError
 from sharedworkspace.serialization import (CheckpointError, load_checkpoint, read_metrics,
                                            save_checkpoint)
-from sharedworkspace.train import (batch_loss, dataset_pair, epochs_to_accuracy,
-                                   evaluate, load_model, n_examples, resolve_task_fields,
-                                   run_training)
+from sharedworkspace.train import (batch_loss, dataset_pair, evaluate, load_model,
+                                   n_examples, resolve_task_fields, run_training)
 
 
 def small_cfg(**kw):
@@ -271,11 +270,3 @@ def test_copy_accuracy_counts_echo_tokens_only():
     batch = {"tokens": np.asarray(test_d["tokens"][:4])}
     _, correct = batch_loss(model, cfg, batch)
     assert correct.shape == (4 * cfg.copy_len,)
-
-
-def test_epochs_to_accuracy():
-    hist = [{"epoch": 0, "test_accuracy": 0.5},
-            {"epoch": 1, "test_accuracy": 0.8},
-            {"epoch": 2, "test_accuracy": 0.9}]
-    assert epochs_to_accuracy(hist, 0.8) == 2
-    assert epochs_to_accuracy(hist, 0.95) is None

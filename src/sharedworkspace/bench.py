@@ -25,6 +25,9 @@ from .errors import ConfigError
 from .workspace import write_broadcast_flops
 
 MIN_TIMER_TICKS = 100
+# Identical stages run per timed call, so that at the small end of the n_s
+# range arithmetic dominates interpreter and dispatch overhead.
+STAGE_BATCH = 16
 
 
 @dataclass
@@ -132,24 +135,23 @@ def _bytes_touched(stage) -> int:
 
 
 def run_scaling(ns_list, n_m: int = 4, d: int = 32, repeats: int = 7,
-                seed: int = 0, batch: int = 16) -> list[BenchResult]:
+                seed: int = 0) -> list[BenchResult]:
     """Time one pairwise stage and one workspace stage at each n_s.
 
-    A small batch of identical stages runs per timed call so that, at the
-    small end of the n_s range, arithmetic dominates interpreter and
-    dispatch overhead; reported times and FLOPs are per single stage.
+    Each timed call runs ``STAGE_BATCH`` stages; reported times and FLOPs
+    are per single stage.
     """
     results = []
     for n_s in ns_list:
         rng = np.random.default_rng(seed)
-        pw = _PairwiseStage(n_s, d, rng, batch)
-        ws = _WorkspaceStage(n_s, n_m, d, rng, batch)
+        pw = _PairwiseStage(n_s, d, rng, STAGE_BATCH)
+        ws = _WorkspaceStage(n_s, n_m, d, rng, STAGE_BATCH)
         results.append(BenchResult(
             "pairwise", n_s, n_m, d, pairwise_flops(n_s, d),
-            _time_stage(pw, repeats) / batch, _bytes_touched(pw)))
+            _time_stage(pw, repeats) / STAGE_BATCH, _bytes_touched(pw)))
         results.append(BenchResult(
             "workspace", n_s, n_m, d, workspace_flops(n_s, n_m, d),
-            _time_stage(ws, repeats) / batch, _bytes_touched(ws)))
+            _time_stage(ws, repeats) / STAGE_BATCH, _bytes_touched(ws)))
     return results
 
 

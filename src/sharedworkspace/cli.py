@@ -29,8 +29,8 @@ from .hostcheck import check_all_hosts, host_grad_check
 from .models import TimsModel
 from .optim import NumericError
 from .serialization import CheckpointError
-from .tasks import gen_copy, gen_sort_of_clevr, gen_triangles, save_dataset
-from .train import dataset, evaluate, load_model, run_training
+from .tasks import save_dataset
+from .train import dataset, evaluate, generate_dataset, load_model, run_training
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_IO = 0, 1, 2, 3
 DATA_ROOT_ENV = "SHAREDWORKSPACE_DATA"
@@ -76,15 +76,11 @@ def _assemble_config(args) -> ModelConfig:
 
 
 def cmd_generate(args) -> int:
-    if args.task == "triangles":
-        data = gen_triangles(args.n, image_size=args.image_size or 64, seed=args.seed)
-    elif args.task == "soc":
-        data = gen_sort_of_clevr(args.n, seed=args.seed,
-                                 image_size=args.image_size or 75)
-    else:
-        data = gen_copy(args.n, vocab=args.vocab, seq_len=2 * args.copy_len,
-                        seed=args.seed)
-    save_dataset(args.out, data)
+    # Without --image-size, each generator's own default size (unused by copy).
+    image_size = args.image_size or (75 if args.task == "soc" else 64)
+    cfg = ModelConfig(task=args.task, image_size=image_size, vocab_size=args.vocab,
+                      copy_len=args.copy_len)
+    save_dataset(args.out, generate_dataset(cfg, args.n, args.seed))
     print(f"wrote {args.out}: task={args.task} n={args.n} seed={args.seed}")
     return EXIT_OK
 
@@ -155,13 +151,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dump_attn(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be at least 1, got {args.n}")
     model, cfg = load_model(args.checkpoint)
     test_d = dataset(cfg, "test", _data_root(args))
     from .train import _batch_arrays, batch_loss
-    batch = _batch_arrays(cfg, test_d, np.arange(min(args.n, 8)))
-    batch_loss(model, cfg, batch, rng=None)
+    # The maps are those of test example 0, so it runs alone.
+    batch_loss(model, cfg, _batch_arrays(cfg, test_d, np.arange(1)), rng=None)
 
     rows = []
     if isinstance(model, TimsModel):
@@ -258,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-attn", help="dump attention / activation maps as CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=4, help="examples to run")
     p.set_defaults(func=cmd_dump_attn)
 
     return parser

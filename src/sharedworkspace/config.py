@@ -87,9 +87,6 @@ class ModelConfig:
     train_n: int = 10000
     test_n: int = 2000
 
-    def resolved_share_layers(self) -> bool:
-        return self.host != "tr_hc"   # high-capacity variant has per-layer parameters
-
     @property
     def n_classes(self) -> int:
         """Output width: the task's classes, or the copy LM's vocabulary."""
@@ -98,11 +95,6 @@ class ModelConfig:
     @property
     def n_channels(self) -> int:
         return tasks.SOC_RGB.shape[1] if self.task == "soc" else 1
-
-    @property
-    def n_patches(self) -> int:
-        side = self.image_size // self.patch_size
-        return side * side
 
     @property
     def seq_len(self) -> int:
@@ -116,7 +108,7 @@ class ModelConfig:
         tasks; the ``seq_len - 1`` positions a copy LM is fed."""
         if self.task == "copy":
             return 2 * self.copy_len
-        return 1 + self.n_patches + (1 if self.task == "soc" else 0)
+        return 1 + (self.image_size // self.patch_size) ** 2 + (1 if self.task == "soc" else 0)
 
 
 # Sizes and counts: each must be at least 1 before any rule divides by one.

@@ -87,12 +87,13 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, (h // patch) * (w // patch), patch * patch * c)
 
 
-def _checked_rng(cfg: ModelConfig, rng, hosts, kind: str):
-    """Validate ``cfg`` for a host class; returns the init generator."""
+def _checked_rng(cfg: ModelConfig, hosts, kind: str):
+    """Validate ``cfg`` for a host class; returns the init generator, seeded
+    by ``cfg.seed``."""
     validate(cfg)
     if cfg.host not in hosts:
         raise ConfigError(f"host {cfg.host!r} is not a {kind}")
-    return np.random.default_rng(cfg.seed) if rng is None else rng
+    return np.random.default_rng(cfg.seed)
 
 
 # ---- transformer hosts -------------------------------------------------------
@@ -142,15 +143,14 @@ class _TransformerStack(T.Module):
         self._build_layers(rng)
         self.final_ln = LayerNorm(cfg.n_h, dtype, "final_ln")
         self.head = Dense(rng, cfg.n_h, n_out, dtype, "head")
-        # Per stage, the head-mean write map of example 0 from the last
-        # forward: (n_m, T), or (T, n_m, T) with one memory per position.
-        self.last_attention = []
 
     def _build_layers(self, rng) -> None:
         cfg, dtype, n_h = self.cfg, self.dtype, self.cfg.n_h
         attention = lambda name: ProjectionSet(rng, n_h, n_h, n_h, cfg.n_heads, cfg.key_dim,
                                                cfg.value_dim, dtype, name)
-        n_unique = 1 if cfg.resolved_share_layers() else cfg.n_layers
+        # Layers share one block's parameters, except on the high-capacity
+        # host.
+        n_unique = cfg.n_layers if cfg.host == "tr_hc" else 1
         self.blocks = []
         for i in range(n_unique):
             p = f"layer{i}"
@@ -178,12 +178,14 @@ class _TransformerStack(T.Module):
         h = T.add(h, self.pos[:n_t])
         mask = causal_mask(n_t) if self.causal else None
         drop = lambda x: T.dropout(x, self.cfg.dropout, rng)
-        return self.final_ln(self._layers(h, mask, drop, rng))
+        return self.final_ln(self._layers(h, mask, drop))
 
-    def _layers(self, h: Tensor, mask, drop, rng) -> Tensor:
+    def _layers(self, h: Tensor, mask, drop) -> Tensor:
         cfg = self.cfg
         memory_batch = h.shape[:-1] if self.causal else h.shape[:-2]
         state = self.workspace.reset(memory_batch) if self.workspace is not None else None
+        # Per stage, the head-mean write map of example 0: (n_m, T), or
+        # (T, n_m, T) with one memory per position.
         self.last_attention = []
         for layer in range(cfg.n_layers):
             blk = self.blocks[layer % len(self.blocks)]
@@ -210,8 +212,8 @@ class TransformerClassifier(_TransformerStack):
     all read from it.
     """
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        rng = _checked_rng(cfg, rng, TRANSFORMER_HOSTS, "transformer classifier")
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        rng = _checked_rng(cfg, TRANSFORMER_HOSTS, "transformer classifier")
         n_h = cfg.n_h
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
         self.max_tokens = cfg.n_writers
@@ -250,8 +252,8 @@ class CausalTransformerLM(_TransformerStack):
     causal = True
     hosts, kind = TRANSFORMER_HOSTS, "causal transformer"   # for _checked_rng
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        rng = _checked_rng(cfg, rng, self.hosts, self.kind)
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        rng = _checked_rng(cfg, self.hosts, self.kind)
         self.max_tokens = cfg.seq_len
         self.embed = T.uniform_init(rng, (cfg.vocab_size, cfg.n_h), 0.02, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
@@ -268,32 +270,30 @@ class CausalTransformerLM(_TransformerStack):
 class RimsCell(T.Module):
     """Per-specialist GRU cells plus the null-augmented input attention."""
 
-    def __init__(self, rng, n_s, n_h, in_dim, n_sel, key_dim=16,
-                 dtype=np.float32, prefix="rims"):
+    def __init__(self, rng, n_s, n_h, in_dim, n_sel, key_dim=16, dtype=np.float32):
         if n_sel > n_s:
             raise ConfigError(f"n_sel={n_sel} exceeds n_s={n_s}")
         self.n_s, self.n_h, self.in_dim, self.n_sel = n_s, n_h, in_dim, n_sel
         self.key_dim = key_dim
         self.dtype = dtype
         s = 1.0 / np.sqrt(n_h)
-        g = lambda shape, name: T.uniform_init(rng, shape, s, dtype, f"{prefix}.{name}")
+        g = lambda shape, name: T.uniform_init(rng, shape, s, dtype, f"rims.{name}")
         # Stacked per-specialist GRU weights: (n_s, in, n_h) / (n_s, n_h, n_h).
-        si = 1.0 / np.sqrt(n_h)
-        self.w_z = T.uniform_init(rng, (n_s, n_h, n_h), si, dtype, f"{prefix}.gru.w_z")
-        self.w_r = T.uniform_init(rng, (n_s, n_h, n_h), si, dtype, f"{prefix}.gru.w_r")
-        self.w_n = T.uniform_init(rng, (n_s, n_h, n_h), si, dtype, f"{prefix}.gru.w_n")
+        self.w_z = g((n_s, n_h, n_h), "gru.w_z")
+        self.w_r = g((n_s, n_h, n_h), "gru.w_r")
+        self.w_n = g((n_s, n_h, n_h), "gru.w_n")
         self.u_z = g((n_s, n_h, n_h), "gru.u_z")
         self.u_r = g((n_s, n_h, n_h), "gru.u_r")
         self.u_n = g((n_s, n_h, n_h), "gru.u_n")
-        self.b_z = T.zeros((n_s, n_h), dtype, requires_grad=True, name=f"{prefix}.gru.b_z")
-        self.b_r = T.zeros((n_s, n_h), dtype, requires_grad=True, name=f"{prefix}.gru.b_r")
-        self.b_n = T.zeros((n_s, n_h), dtype, requires_grad=True, name=f"{prefix}.gru.b_n")
+        self.b_z = T.zeros((n_s, n_h), dtype, requires_grad=True, name="rims.gru.b_z")
+        self.b_r = T.zeros((n_s, n_h), dtype, requires_grad=True, name="rims.gru.b_r")
+        self.b_n = T.zeros((n_s, n_h), dtype, requires_grad=True, name="rims.gru.b_n")
         # Input attention: per-specialist queries, shared keys/values over
         # [z_t; null].  Values are specialist-state sized.
-        self.w_q = T.uniform_init(rng, (n_s, n_h, key_dim), si, dtype, f"{prefix}.inp.w_q")
-        self.w_e = T.linear_init(rng, in_dim, key_dim, dtype, f"{prefix}.inp.w_e")
-        self.w_v = T.linear_init(rng, in_dim, n_h, dtype, f"{prefix}.inp.w_v")
-        self.null_row = T.uniform_init(rng, (1, in_dim), 0.02, dtype, f"{prefix}.inp.null")
+        self.w_q = g((n_s, n_h, key_dim), "inp.w_q")
+        self.w_e = T.linear_init(rng, in_dim, key_dim, dtype, "rims.inp.w_e")
+        self.w_v = T.linear_init(rng, in_dim, n_h, dtype, "rims.inp.w_v")
+        self.null_row = T.uniform_init(rng, (1, in_dim), 0.02, dtype, "rims.inp.null")
 
     def _per_specialist_matmul(self, x: Tensor, w: Tensor) -> Tensor:
         # x (B, n_s, d) with stacked weights w (n_s, d, e) -> (B, n_s, e)
@@ -349,8 +349,8 @@ class RimsModel(T.Module):
     time step per row of patches, and an input projection feeds recurrent
     specialists that communicate through the shared workspace at every step."""
 
-    def __init__(self, cfg: ModelConfig, rng=None, dtype=np.float32):
-        rng = _checked_rng(cfg, rng, ("rims_sw",), "recurrent-specialist model")
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        rng = _checked_rng(cfg, ("rims_sw",), "recurrent-specialist model")
         self.cfg = cfg
         self.dtype = dtype
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
@@ -409,11 +409,13 @@ class TimsLayer(T.Module):
 
 
 def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
-                  h: Tensor, causal: bool = True, rng=None, dropout: float = 0.0):
+                  h: Tensor, mask, drop):
     """One modular layer pass: (B, T, D) -> (B, T, D) plus new workspace state.
 
     The position axis carries one workspace memory per position
-    (state.memory: (B, T, n_m, n_l)).
+    (state.memory: (B, T, n_m, n_l)).  ``mask`` (the stack's causal mask, or
+    None) masks the mechanisms' self-attention and ``drop`` is the stack's
+    dropout.
     """
     b, n_t, d = h.shape
     n_b, dm = layer.n_b, layer.dm
@@ -427,11 +429,10 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
 
     # Step 2: selected mechanisms self-attend over positions, residual.  All
     # mechanisms run in one call on the mechanism-major view (B, n_b, T, dm).
-    mask = causal_mask(n_t) if causal else None
     xs = T.swapaxes(layer.ln1(hm), 1, 2)
     att = T.swapaxes(multihead(xs, xs, layer.sa, mask=mask).values, 1, 2)
     scale = T.reshape(c_star, (b, n_t, n_b, 1))
-    h_bar = T.add(hm, T.dropout(T.mul(scale, att), dropout, rng))
+    h_bar = T.add(hm, drop(T.mul(scale, att)))
 
     # Steps 3 and 4: each position writes one combined row, built from the
     # score-scaled mechanism states, into its own memory, and each mechanism
@@ -439,12 +440,12 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
     a = T.reshape(T.mul(scale, h_bar), (b, n_t, n_b * dm))
     rows = T.reshape(T.matmul(a, layer.w_a), (b, n_t, 1, layer.n_l))
     state, read, _ = ws.communicate(state, rows, h_bar)   # read: (B, T, n_b, dm)
-    h_out = T.add(h_bar, T.dropout(read, dropout, rng))
+    h_out = T.add(h_bar, drop(read))
 
     # Per-mechanism feed-forward on the same view, pre-norm residual.
     y = T.swapaxes(layer.ln2(h_out), 1, 2)
     y = T.matmul(T.relu(T.matmul(y, layer.ffn_w1)), layer.ffn_w2)
-    h_out = T.add(h_out, T.dropout(T.swapaxes(y, 1, 2), dropout, rng))
+    h_out = T.add(h_out, drop(T.swapaxes(y, 1, 2)))
     return T.reshape(h_out, (b, n_t, d)), state, sel
 
 
@@ -476,15 +477,14 @@ class TimsModel(CausalTransformerLM):
                                  dtype=dtype, prefix="modular")
         self.workspace = _workspace(cfg, rng, dtype, n_b, read_q_dim=dm)
 
-    def _layers(self, h: Tensor, mask, drop, rng) -> Tensor:
+    def _layers(self, h: Tensor, mask, drop) -> Tensor:
         mono = lambda blk, h: _feed_forward(
             _self_attention(h, blk["ln1"], blk["sa"], mask, drop), blk, drop)
         h = mono(self.mono_in, h)
         state = self.workspace.reset(h.shape[:-1])
         self.last_selection = []
         for _ in range(self.cfg.n_layers):
-            h, state, sel = tims_sw_layer(self.modular, self.workspace, state, h,
-                                          causal=True, rng=rng, dropout=self.cfg.dropout)
+            h, state, sel = tims_sw_layer(self.modular, self.workspace, state, h, mask, drop)
             self.last_selection.append(sel.indices)
         return mono(self.mono_out, h)
 
@@ -492,11 +492,12 @@ class TimsModel(CausalTransformerLM):
 # ---- dispatch ----------------------------------------------------------------
 
 
-def build_model(cfg: ModelConfig, rng=None, dtype=np.float32):
+def build_model(cfg: ModelConfig, dtype=np.float32):
+    """The host ``cfg`` names, with parameters drawn from ``cfg.seed``."""
     if cfg.host == "rims_sw":
-        return RimsModel(cfg, rng, dtype)
+        return RimsModel(cfg, dtype)
     if cfg.host == "tims_sw":
-        return TimsModel(cfg, rng, dtype)
+        return TimsModel(cfg, dtype)
     if cfg.task == "copy":
-        return CausalTransformerLM(cfg, rng, dtype)
-    return TransformerClassifier(cfg, rng, dtype)
+        return CausalTransformerLM(cfg, dtype)
+    return TransformerClassifier(cfg, dtype)

@@ -20,13 +20,11 @@ class Adam:
     aborts the step before touching any parameter and names the offender.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr=1e-4, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr=1e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -42,25 +40,26 @@ class Adam:
                 raise NumericError(f"non-finite gradient in parameter '{name}'")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - self.BETA1 ** t
+        bc2 = 1.0 - self.BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
             p.data -= (lr * update).astype(p.data.dtype)
 
 
-def cosine_lr(base_lr: float, epoch: int, total_epochs: int, min_lr: float = 0.0) -> float:
-    """Cosine-annealed learning rate for the given epoch."""
+def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
+    """Learning rate for the given epoch, annealed from ``base_lr`` to 0 on a
+    cosine."""
     if total_epochs <= 1:
         return base_lr
     frac = min(epoch, total_epochs - 1) / (total_epochs - 1)
-    return min_lr + 0.5 * (base_lr - min_lr) * (1.0 + math.cos(math.pi * frac))
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * frac))

@@ -38,6 +38,10 @@ SOC_RGB = np.array([
 ], dtype=np.float32)
 SOC_QUESTION_BITS = 11   # 6 color + 2 type + 3 subtype
 SOC_RELATIONAL_BIT = 7   # type one-hot: bit 6 non-relational, bit 7 relational
+SOC_QUESTIONS_PER_TYPE = 10   # per scene: this many non-relational, then relational
+
+# Placement attempts per sample before a generator gives up.
+MAX_RETRIES = 1000
 
 
 def _sample_rng(seed: int, index: int) -> np.random.Generator:
@@ -75,8 +79,7 @@ class TriangleParams:
                 self.margin * s)
 
 
-def gen_triangles(n: int, image_size: int = 64, seed: int = 0,
-                  max_retries: int = 1000) -> dict:
+def gen_triangles(n: int, image_size: int = 64, seed: int = 0) -> dict:
     """Balanced triangle-midpoint dataset.
 
     Positives place cluster midpoints on an exact equilateral triangle;
@@ -99,7 +102,7 @@ def gen_triangles(n: int, image_size: int = 64, seed: int = 0,
         rng = _sample_rng(seed, i)
         positive = i % 2 == 0
         mids = None
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             if positive:
                 side = rng.uniform(min_sep, (size - 2 * margin) / 1.6)
                 radius = side / np.sqrt(3.0)
@@ -121,7 +124,7 @@ def gen_triangles(n: int, image_size: int = 64, seed: int = 0,
                 break
         if mids is None:
             raise ConfigError(f"could not place clusters for sample {i} "
-                              f"after {max_retries} retries")
+                              f"after {MAX_RETRIES} retries")
         midpoints[i] = mids
         labels[i] = int(positive)
         pts = mids[:, None, :] + rng.normal(0.0, sigma,
@@ -191,9 +194,7 @@ def _render_scene(shapes, centers, image_size, radius) -> np.ndarray:
     return img
 
 
-def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75,
-                      questions_per_type: int = 10,
-                      max_retries: int = 1000) -> dict:
+def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75) -> dict:
     """Scenes of six uniquely colored squares/circles with paired questions.
 
     Non-relational subtypes: shape of the colored object, horizontal half,
@@ -205,7 +206,7 @@ def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75,
         raise ConfigError("need n >= 1")
     radius = max(2, int(round(image_size / 15)))
     min_dist = 2.5 * radius
-    n_q = 2 * questions_per_type
+    n_q = 2 * SOC_QUESTIONS_PER_TYPE
     images = np.zeros((n, image_size, image_size, 3), dtype=np.float32)
     shapes = np.zeros((n, 6), dtype=np.uint8)
     centers = np.zeros((n, 6, 2), dtype=np.int64)
@@ -215,7 +216,7 @@ def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75,
     for i in range(n):
         rng = _sample_rng(seed, i)
         pts = []
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             cand = rng.integers(radius, image_size - radius, size=2)
             if all(((cand - p) ** 2).sum() >= min_dist ** 2 for p in pts):
                 pts.append(cand)
@@ -227,7 +228,7 @@ def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75,
         shapes[i] = rng.integers(0, 2, size=6)
         images[i] = _render_scene(shapes[i], centers[i], image_size, radius)
         for j in range(n_q):
-            relational = j >= questions_per_type
+            relational = j >= SOC_QUESTIONS_PER_TYPE
             color = int(rng.integers(0, 6))
             subtype = int(rng.integers(0, 3))
             questions[i, j] = encode_question(color, relational, subtype)
@@ -239,7 +240,7 @@ def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75,
         "questions": questions, "answers": answers,
         "params": {"task": "soc", "n": n, "image_size": image_size,
                    "seed": seed, "radius": radius,
-                   "questions_per_type": questions_per_type},
+                   "questions_per_type": SOC_QUESTIONS_PER_TYPE},
     }
 
 

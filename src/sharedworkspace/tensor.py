@@ -82,10 +82,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
@@ -93,10 +89,10 @@ class ShapeError(ValueError):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad")
 
-    def __init__(self, data, requires_grad=False, dtype=None, name=None):
+    def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
             data = data.data
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -326,10 +322,8 @@ def sigmoid(a) -> Tensor:
 # ---- shape ops --------------------------------------------------------------
 
 
-def reshape(a, *shape) -> Tensor:
+def reshape(a, shape) -> Tensor:
     a = _astensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     old = a.data.shape
     out = _make(a.data.reshape(shape), (a,))
     if out.requires_grad:
@@ -521,15 +515,16 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
     return out
 
 
-def log_softmax(a, axis=-1) -> Tensor:
+def log_softmax(a) -> Tensor:
+    """Log-softmax over the last axis."""
     a = _astensor(a)
-    shifted = a.data - _row_max(a.data, axis)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - _row_max(a.data, -1)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = _make(y, (a,))
     if out.requires_grad:
         def _bw(g):
-            _accum(a, g - np.exp(y) * g.sum(axis=axis, keepdims=True), fresh=True)
+            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True)
         out._backward = _bw
     return out
 
@@ -544,7 +539,7 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     ``sum(w * nll) / max(sum(w), 1)``.
     """
     targets = np.asarray(targets)
-    lp = log_softmax(logits, axis=-1)
+    lp = log_softmax(logits)
     flat = reshape(lp, (-1, logits.data.shape[-1]))
     picked = take(flat, (np.arange(flat.data.shape[0]), targets.reshape(-1)))
     if weights is None:
@@ -556,11 +551,11 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
 # ---- composite layers -------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis with learned gain/bias.
 
     One tape node.  The forward does the arithmetic of the composition
-    mean -> centre -> mean square -> ``(var + eps) ** -0.5`` -> scale, in
+    mean -> centre -> mean square -> ``(var + 1e-5) ** -0.5`` -> scale, in
     that order, so its bits equal those of the composed ops.  The backward
     is the analytic one (Ba et al. 2016): with ``xh`` the normalized input
     and ``gx = g * gain``, ``dx = inv * (gx - mean(gx) - xh * mean(gx * xh))``.
@@ -570,7 +565,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     rn = np.asarray(1.0 / x.data.shape[-1], dtype=dt)
     xh = x.data - x.data.sum(axis=-1, keepdims=True) * rn
     var = (xh * xh).sum(axis=-1, keepdims=True) * rn
-    inv = (var + np.asarray(eps, dtype=dt)) ** -0.5
+    inv = (var + np.asarray(1e-5, dtype=dt)) ** -0.5
     xh *= inv
     y = xh * gain.data
     y += bias.data

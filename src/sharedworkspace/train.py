@@ -110,15 +110,14 @@ def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
     return loss, correct
 
 
-def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
-             max_examples: int | None = None) -> dict:
-    """Test-mode loss/accuracy; for the scene task also the accuracy split
-    into relational and non-relational questions.
+def evaluate(model, cfg: ModelConfig, data: dict, max_examples: int | None = None) -> dict:
+    """Test-mode loss/accuracy in batches of ``cfg.batch_size``; for the
+    scene task also the accuracy over the relational and over the
+    non-relational questions, each reported only when some were evaluated.
 
     Each batch's forward records a tape that no backward consumes; it is
     released before the next batch is built, so one tape is alive at a time.
     """
-    batch_size = batch_size or cfg.batch_size
     n = n_examples(cfg, data)
     if max_examples is not None:
         n = min(n, max_examples)
@@ -126,8 +125,8 @@ def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
         raise ConfigError(f"evaluation over no examples (max_examples={max_examples})")
     total_loss, n_units = 0.0, 0
     correct_all, rel_all = [], []
-    for lo in range(0, n, batch_size):
-        idx = np.arange(lo, min(lo + batch_size, n))
+    for lo in range(0, n, cfg.batch_size):
+        idx = np.arange(lo, min(lo + cfg.batch_size, n))
         batch = _batch_arrays(cfg, data, idx)
         loss, correct = batch_loss(model, cfg, batch, rng=None)
         total_loss += float(loss.data) * len(correct)
@@ -140,8 +139,9 @@ def evaluate(model, cfg: ModelConfig, data: dict, batch_size: int | None = None,
     out = {"loss": total_loss / n_units, "accuracy": float(correct.mean())}
     if cfg.task == "soc":
         rel = np.concatenate(rel_all)
-        out["accuracy_relational"] = float(correct[rel].mean())
-        out["accuracy_nonrelational"] = float(correct[~rel].mean())
+        for key, split in (("accuracy_relational", rel), ("accuracy_nonrelational", ~rel)):
+            if split.any():
+                out[key] = float(correct[split].mean())
     return out
 
 
@@ -201,10 +201,10 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
     shortening the learning-rate schedule; a later resume continues exactly
     where an uninterrupted run would have been.
 
-    Writes metrics.jsonl (append-only), last.ckpt (rolling, every epoch) and
-    best.ckpt (highest test accuracy) under ``out_dir``.  A non-finite loss
-    raises NumericError; the rolling checkpoint of the last completed epoch
-    stays on disk.
+    Writes metrics.jsonl (started afresh unless resuming, then appended to),
+    last.ckpt (rolling, every epoch) and best.ckpt (highest test accuracy)
+    under ``out_dir``.  A non-finite loss raises NumericError; the rolling
+    checkpoint of the last completed epoch stays on disk.
     """
     cfg = validate(cfg)
     # Data first: a task parameter the generator rejects fails before the
@@ -242,6 +242,7 @@ def run_training(cfg: ModelConfig, out_dir, data_root=None, resume: bool = False
         best_acc = meta["best_test_accuracy"]
     else:
         checkpoint(last_path, 0, 0, best_acc)
+        (out / "metrics.jsonl").unlink(missing_ok=True)
 
     n_train = n_examples(cfg, train_d)
     end_epoch = cfg.epochs if stop_epoch is None else min(cfg.epochs, stop_epoch)

@@ -98,6 +98,15 @@ def test_train_determinism_across_runs(tmp_path):
     assert strip(out_a) == strip(out_b)
 
 
+def test_train_without_resume_starts_a_fresh_metrics_file(tmp_path):
+    strip = lambda p: [{k: v for k, v in r.items() if k != "wall_ms"}
+                       for r in read_metrics(p / "metrics.jsonl")]
+    _, out = run_small_train(tmp_path)
+    first = strip(out)
+    assert run_small_train(tmp_path)[0] == EXIT_OK
+    assert strip(out) == first
+
+
 def test_invalid_config_exits_1(tmp_path):
     code = main(["train", "--host", "tr_hsw", "--task", "triangles",
                  "--out", str(tmp_path / "r")])   # tr_hsw needs --topk
@@ -276,6 +285,27 @@ def test_eval_prints_metrics(tmp_path, capsys):
     assert code == EXIT_OK
     metrics = json.loads(capsys.readouterr().out)
     assert 0.0 <= metrics["accuracy"] <= 1.0 and "loss" in metrics
+
+
+def test_eval_reports_only_the_question_splits_it_saw(tmp_path, capsys):
+    # The first ten questions of a scene are non-relational, so five examples
+    # hold no relational question.
+    cfg = resolve_task_fields(ModelConfig(host="tr", task="soc", n_layers=1, n_h=8,
+                                          ffn_dim=8, n_heads=2, key_dim=4, value_dim=4,
+                                          image_size=32, patch_size=16, test_n=2))
+    ckpt = tmp_path / "soc.ckpt"
+    save_checkpoint(ckpt, build_model(cfg).parameters(), {"config": dataclasses.asdict(cfg)})
+
+    def no_constant(name):
+        raise ValueError(f"not JSON: {name}")
+
+    for extra, splits in ((["--max-examples", "5"], {"accuracy_nonrelational"}),
+                          ([], {"accuracy_relational", "accuracy_nonrelational"})):
+        code = main(["--data-root", str(tmp_path / "data"), "eval",
+                     "--checkpoint", str(ckpt), *extra])
+        assert code == EXIT_OK
+        metrics = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert set(metrics) == {"loss", "accuracy"} | splits
 
 
 def test_eval_of_no_examples_exits_1(tmp_path, capsys):
@@ -459,15 +489,6 @@ def test_dump_attn_mechanism_host(tmp_path):
     for _, _, active in rows:
         ids = [int(i) for i in active.split()]
         assert len(set(ids)) == n_sel and all(0 <= i < n_s for i in ids)
-
-
-def test_dump_attn_of_no_examples_exits_1(tmp_path, capsys):
-    _, out = run_small_train(tmp_path)
-    capsys.readouterr()
-    code = main(["--data-root", str(tmp_path / "data"), "dump-attn", "--n", "0",
-                 "--checkpoint", str(out / "best.ckpt"), "--out", str(tmp_path / "a.csv")])
-    assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error")
 
 
 def test_dump_attn_plain_host_exits_1(tmp_path):

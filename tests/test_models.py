@@ -58,11 +58,6 @@ def test_nsel_bounded_by_ns():
         validate(toy("rims_sw", n_sel=9))
 
 
-def test_layer_sharing_defaults():
-    assert toy("tr").resolved_share_layers()
-    assert not toy("tr_hc").resolved_share_layers()
-
-
 # The settable surface of a run.  Every field is a value some caller sets;
 # what the task fixes is a property and a removed key goes to config.RETIRED.
 # Adding or removing a knob therefore edits this tuple, a reviewed change
@@ -371,7 +366,7 @@ def tims_setup(n_sel, dtype=np.float64, seed=8):
 def test_tims_nonselected_mechanism_keeps_residual_bitwise():
     layer, ws, h = tims_setup(n_sel=1)
     state = ws.reset((2, 5))
-    _, _, sel = tims_sw_layer(layer, ws, state, h, causal=True)
+    _, _, sel = tims_sw_layer(layer, ws, state, h, causal_mask(5), lambda x: x)
     assert sel.indices.shape == (2, 5, 1)
     # Recompute h_bar exactly as the layer does and check the c*=0 rows.
     hm = h.data.reshape(2, 5, 3, 4)
@@ -386,14 +381,14 @@ def test_tims_nonselected_mechanism_keeps_residual_bitwise():
 def test_tims_nsel_equals_nb_all_active():
     layer, ws, h = tims_setup(n_sel=3)
     state = ws.reset((2, 5))
-    _, _, sel = tims_sw_layer(layer, ws, state, h, causal=True)
+    _, _, sel = tims_sw_layer(layer, ws, state, h, causal_mask(5), lambda x: x)
     assert (np.sort(sel.indices, axis=-1) == np.arange(3)).all()
 
 
 def test_tims_layer_matches_straight_line_oracle():
     layer, ws, h = tims_setup(n_sel=2)
     state = ws.reset((2, 5))
-    out, st, sel = tims_sw_layer(layer, ws, state, h, causal=False)
+    out, st, sel = tims_sw_layer(layer, ws, state, h, None, lambda x: x)
 
     b, n_t, n_b, dm = 2, 5, 3, 4
     hm = h.data.reshape(b, n_t, n_b, dm)
@@ -465,7 +460,7 @@ def test_tims_layer_at_the_host_workspace_matches_straight_line_oracle():
     b, n_t, n_b, dm = 2, 5, 3, 4
     h = Tensor(rng.normal(size=(b, n_t, n_b * dm)))
     state = ws.reset((b, n_t))
-    out, st, sel = tims_sw_layer(layer, ws, state, h, causal=True)
+    out, st, sel = tims_sw_layer(layer, ws, state, h, causal_mask(5), lambda x: x)
 
     def mha(xq, xkv, w_q, w_e, w_v, w_o, n_heads, mask=None):
         dk, dv = w_q.shape[-1] // n_heads, w_v.shape[-1] // n_heads
@@ -558,7 +553,8 @@ def test_tims_layer_gradcheck_every_entry():
 
     def f(p):
         with pin:
-            out, st, _ = tims_sw_layer(layer, ws, ws.reset((2, 5)), h, causal=True)
+            out, st, _ = tims_sw_layer(layer, ws, ws.reset((2, 5)), h, causal_mask(5),
+                                       lambda x: x)
         return T.add(T.tsum(T.mul(out, w_out)), T.tsum(T.mul(st.memory, w_mem)))
 
     rep = grad_check(f, params, max_entries_per_param=None)

@@ -591,7 +591,7 @@ def test_adam_single_step_hand_recurrence():
     vhat = v / (1 - b2)
     expect_delta = lr * mhat / (math.sqrt(vhat) + eps)
     p = Tensor(np.array([0.5], dtype=np.float64), requires_grad=True)
-    opt = Adam({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam({"p": p}, lr=lr)
     p.grad = np.array([1.0])
     opt.step()
     assert abs((0.5 - p.data[0]) - expect_delta) < 1e-12

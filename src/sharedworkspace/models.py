@@ -16,9 +16,11 @@ competition, gated update, broadcast), which no host assembles itself:
 The five transformer hosts and ``tims_sw`` run one pre-norm transformer
 body.  ``TransformerClassifier`` embeds image patches (plus a question token
 for the relational task), keeps one workspace memory per example and reads
-out the CLS row.  ``CausalTransformerLM`` embeds the copy task's tokens and
-reads out every position; its class attribute ``causal`` makes the stack
-mask attention and run the workspace round with one memory per position.
+out the CLS row; its class attribute ``readout`` makes the stack's last
+layer compute that row only after its last token-mixing step.
+``CausalTransformerLM`` embeds the copy task's tokens and reads out every
+position; its class attribute ``causal`` makes the stack mask attention and
+run the workspace round with one memory per position.
 ``TimsModel`` is that LM with a modular stack between two monolithic blocks.
 ``RimsModel`` has its own recurrent loop.  ``build_model`` dispatches on the
 config.
@@ -102,15 +104,24 @@ def _checked_rng(cfg: ModelConfig, hosts, kind: str):
 TRANSFORMER_HOSTS = ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa")
 
 
-def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop) -> Tensor:
-    """Pre-norm residual self-attention sublayer."""
+def _rows(x: Tensor, rows) -> Tensor:
+    """The token rows ``rows`` of ``x`` (..., T, d); all of them for None."""
+    return x if rows is None else x[..., rows, :]
+
+
+def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop,
+                    rows=None) -> Tensor:
+    """Pre-norm residual self-attention sublayer.  With ``rows`` only those
+    token rows query, and the output holds only them."""
     xn = ln(h)
-    return T.add(h, drop(multihead(xn, xn, proj, mask=mask).values))
+    att = multihead(_rows(xn, rows), xn, proj, mask=mask)
+    return T.add(_rows(h, rows), drop(att.values, rows))
 
 
-def _feed_forward(h: Tensor, blk: dict, drop) -> Tensor:
-    """Pre-norm residual feed-forward sublayer of block ``blk``."""
-    return T.add(h, drop(blk["ffn"](blk["ln2"](h))))
+def _feed_forward(h: Tensor, blk: dict, drop, rows=None) -> Tensor:
+    """Pre-norm residual feed-forward sublayer of block ``blk``; ``rows`` says
+    that ``h`` holds only those token rows, for the dropout draw."""
+    return T.add(h, drop(blk["ffn"](blk["ln2"](h)), rows))
 
 
 def _workspace(cfg: ModelConfig, rng, dtype, n_s: int, **shape) -> SharedWorkspace:
@@ -130,12 +141,18 @@ class _TransformerStack(T.Module):
     ``tr_2xsa``) or through one ``SharedWorkspace.communicate`` round
     (``tr_ssw``/``tr_hsw``, after a pairwise sublayer with ``sw_plus_sa``),
     then runs the FFN.  ``causal`` picks one memory per example, or one per
-    position with masked self-attention.  A subclass sets ``max_tokens`` and
-    assigns its embedding, ``pos`` among it, before calling ``__init__``, so
-    the embedding is drawn and listed first.
+    position with masked self-attention.  ``readout`` names the token rows
+    a non-causal host reads (None: every position).  The last layer's last
+    mixing sublayer takes queries, or workspace readers, from those rows
+    only, and everything after it runs on them; keys, values and writers
+    stay full width.  Dropout there still draws full-width masks, so the
+    generator stream does not depend on ``readout``.  A subclass sets
+    ``max_tokens`` and assigns its embedding, ``pos`` among it, before
+    calling ``__init__``, so the embedding is drawn and listed first.
     """
 
     causal = False
+    readout = None
 
     def __init__(self, cfg: ModelConfig, rng, dtype, n_out: int):
         self.cfg = cfg
@@ -177,7 +194,7 @@ class _TransformerStack(T.Module):
             raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
         h = T.add(h, self.pos[:n_t])
         mask = causal_mask(n_t) if self.causal else None
-        drop = lambda x: T.dropout(x, self.cfg.dropout, rng)
+        drop = lambda x, rows=None: T.dropout(x, self.cfg.dropout, rng, rows, n_t)
         return self.final_ln(self._layers(h, mask, drop))
 
     def _layers(self, h: Tensor, mask, drop) -> Tensor:
@@ -189,28 +206,35 @@ class _TransformerStack(T.Module):
         self.last_attention = []
         for layer in range(cfg.n_layers):
             blk = self.blocks[layer % len(self.blocks)]
+            # The last layer's last mixing sublayer (the workspace round, else
+            # sa2, else sa) and the FFN after it run on the readout rows.
+            rows = self.readout if layer == cfg.n_layers - 1 else None
             if "sa" in blk:
-                h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop)
+                last = "sa2" not in blk and self.workspace is None
+                h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop, rows if last else None)
             if "sa2" in blk:
-                h = _self_attention(h, blk["ln1b"], blk["sa2"], mask, drop)
+                h = _self_attention(h, blk["ln1b"], blk["sa2"], mask, drop, rows)
             if self.workspace is not None:
                 if not cfg.persistent_memory:
                     state = self.workspace.reset(memory_batch)
                 xn = blk["ln1b" if "sa" in blk else "ln1"](h)
-                state, read, write = self.workspace.communicate(state, xn, xn, cfg.topk,
-                                                                self.causal)
+                state, read, write = self.workspace.communicate(state, xn, _rows(xn, rows),
+                                                                cfg.topk, self.causal)
                 self.last_attention.append(write.weights.data[0].mean(axis=-3))
-                h = T.add(h, drop(read))
-            h = _feed_forward(h, blk, drop)
+                h = T.add(_rows(h, rows), drop(read, rows))
+            h = _feed_forward(h, blk, drop, rows)
         return h
 
 
 class TransformerClassifier(_TransformerStack):
     """Patch transformer with a CLS readout (vision tasks).
 
-    One workspace memory per example: all tokens compete to write into it and
-    all read from it.
+    One workspace memory per example: all tokens compete to write into it
+    and all read from it, except at the last layer, where only the CLS row
+    (the one the head reads) queries or reads, as in CaiT's class attention.
     """
+
+    readout = slice(0, 1)
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         rng = _checked_rng(cfg, TRANSFORMER_HOSTS, "transformer classifier")

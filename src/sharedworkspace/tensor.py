@@ -358,11 +358,25 @@ def concat(tensors, axis=0) -> Tensor:
     return out
 
 
+def _is_basic_index(idx) -> bool:
+    """True when ``idx`` holds only ints, slices and ``...``, so it selects
+    no element twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is Ellipsis or isinstance(p, (int, np.integer, slice)) for p in parts)
+
+
 def take(a, idx) -> Tensor:
-    """Advanced/basic indexing with gradient scatter-add on backward."""
+    """Advanced/basic indexing with gradient scatter-add on backward.
+
+    A basic index selects each element at most once, so backward adds in
+    place, with the bits of the ``np.add.at`` scatter that advanced indices
+    (which may repeat) need.
+    """
     a = _astensor(a)
     out = _make(a.data[idx], (a,))
     if out.requires_grad:
+        basic = _is_basic_index(idx)
+
         def _bw(g):
             if not a.requires_grad:
                 return
@@ -371,7 +385,10 @@ def take(a, idx) -> Tensor:
             elif not a._owns_grad:
                 a.grad = a.grad.copy()
             a._owns_grad = True
-            np.add.at(a.grad, idx, g)
+            if basic:
+                a.grad[idx] += g
+            else:
+                np.add.at(a.grad, idx, g)
         out._backward = _bw
     return out
 
@@ -593,12 +610,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate==0 or rng is None (eval mode)."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
+            rows=None, n_rows: int | None = None) -> Tensor:
+    """Inverted dropout; identity when rate==0 or rng is None (eval mode).
+
+    ``rows`` says that ``x`` holds only those rows (an index into axis -2)
+    of an output ``n_rows`` rows long: the mask is drawn for the whole
+    output and cut to ``rows``, so the generator ends where the full-width
+    draw leaves it and every later mask is unchanged.
+    """
     if rate <= 0.0 or rng is None:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, keep)
+    if rows is None:
+        keep = rng.random(x.data.shape) >= rate
+    else:
+        keep = (rng.random(x.shape[:-2] + (n_rows, x.shape[-1])) >= rate)[..., rows, :]
+    return mul(x, keep.astype(x.data.dtype) / (1.0 - rate))
 
 
 # ---- parameters -------------------------------------------------------------

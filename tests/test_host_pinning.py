@@ -29,58 +29,58 @@ CASES = [(task, host, variant) for task in TASKS for host in HOSTS
 # closures recorded by one batch_loss, SHA-256 of the "name shape dtype" lines
 # in order, SHA-256 of the concatenated init bytes).
 PINS = {
-    ('triangles', 'tr', ''): (20, 71,
+    ('triangles', 'tr', ''): (20, 73,
         "33bcb08020bc54e21ffa46f97560c457efd831808b1edc33a05ed73c2a961ee3",
         "aa6a7c20235a0d67c72c7706c82598fd0dad805218ef74548bbc16b8e14fea7c"),
-    ('triangles', 'tr_hc', ''): (32, 71,
+    ('triangles', 'tr_hc', ''): (32, 73,
         "b43a837f69d6ae2efaacc60929f7d0266f4c8548c7de96bcf3f4c1a2a419a6fa",
         "40230affcf19e0e1316dc0565e3f950c5f1481cf5af41277a766ed9b842a435e"),
-    ('triangles', 'tr_ssw', ''): (30, 138,
+    ('triangles', 'tr_ssw', ''): (30, 140,
         "172e4e110dc888275ea728ff914579ab9c6f5b00f3908ae55dc9bea67607e732",
         "70ab57327e445b887ad92931c71e9c5285cba0245422ec76dd49b87c84298cc8"),
-    ('triangles', 'tr_ssw', 'sw_plus_sa'): (36, 178,
+    ('triangles', 'tr_ssw', 'sw_plus_sa'): (36, 180,
         "fdcd8eaf0f8cf21060448a5a931047c2d606962e60ce58488ce2f96384f16edf",
         "156bcad584142416058508152692cccf7b8fbf20d35946c6cd8b7579b2e99440"),
-    ('triangles', 'tr_ssw', 'no_persistence'): (30, 139,
+    ('triangles', 'tr_ssw', 'no_persistence'): (30, 141,
         "172e4e110dc888275ea728ff914579ab9c6f5b00f3908ae55dc9bea67607e732",
         "70ab57327e445b887ad92931c71e9c5285cba0245422ec76dd49b87c84298cc8"),
-    ('triangles', 'tr_hsw', ''): (30, 138,
+    ('triangles', 'tr_hsw', ''): (30, 140,
         "172e4e110dc888275ea728ff914579ab9c6f5b00f3908ae55dc9bea67607e732",
         "70ab57327e445b887ad92931c71e9c5285cba0245422ec76dd49b87c84298cc8"),
-    ('triangles', 'tr_hsw', 'sw_plus_sa'): (36, 178,
+    ('triangles', 'tr_hsw', 'sw_plus_sa'): (36, 180,
         "fdcd8eaf0f8cf21060448a5a931047c2d606962e60ce58488ce2f96384f16edf",
         "156bcad584142416058508152692cccf7b8fbf20d35946c6cd8b7579b2e99440"),
-    ('triangles', 'tr_hsw', 'no_persistence'): (30, 139,
+    ('triangles', 'tr_hsw', 'no_persistence'): (30, 141,
         "172e4e110dc888275ea728ff914579ab9c6f5b00f3908ae55dc9bea67607e732",
         "70ab57327e445b887ad92931c71e9c5285cba0245422ec76dd49b87c84298cc8"),
-    ('triangles', 'tr_2xsa', ''): (26, 111,
+    ('triangles', 'tr_2xsa', ''): (26, 113,
         "87c03410a6f3cd5d60fc33e135646a63754bdd6fd8cf8b80a628140daeed4d9b",
         "8add0f86d6eedd675c9a8443a8ab5a91018520111b839c68080d501e95d54979"),
-    ('soc', 'tr', ''): (22, 74,
+    ('soc', 'tr', ''): (22, 76,
         "85e565e50c9a513a8f22c414f0c580059e11f2720cffff5d95037e155305467b",
         "c22e8913e3f40e8dce1fc43b602b94f7637e11b5f57f05ee69a37d056a01de9a"),
-    ('soc', 'tr_hc', ''): (34, 74,
+    ('soc', 'tr_hc', ''): (34, 76,
         "cef2e974dcef354d4bcc8cff19407b9c73fd60a9d97f8213e52943997926648d",
         "acf047847bf35d98a06bbbedd5211a6cf0a839f418207edd4f2c97bdf057927e"),
-    ('soc', 'tr_ssw', ''): (32, 141,
+    ('soc', 'tr_ssw', ''): (32, 143,
         "3760fe73dc78284c785c5ecf2f222f0e09d9c5c4e902932e1e1cb98219df2e12",
         "bba28d7507110963f4c7101ac4cba4a9b00f8002803ba08687fba536c868bfee"),
-    ('soc', 'tr_ssw', 'sw_plus_sa'): (38, 181,
+    ('soc', 'tr_ssw', 'sw_plus_sa'): (38, 183,
         "8a3626c93ca2cf4bb0b12683f1b749b19837d9e4b5ca020369832a309de86bfb",
         "c96539826e36932b809a731f68c81bfebd0a2f29fde5e300d3a6b2cde0af402b"),
-    ('soc', 'tr_ssw', 'no_persistence'): (32, 142,
+    ('soc', 'tr_ssw', 'no_persistence'): (32, 144,
         "3760fe73dc78284c785c5ecf2f222f0e09d9c5c4e902932e1e1cb98219df2e12",
         "bba28d7507110963f4c7101ac4cba4a9b00f8002803ba08687fba536c868bfee"),
-    ('soc', 'tr_hsw', ''): (32, 141,
+    ('soc', 'tr_hsw', ''): (32, 143,
         "3760fe73dc78284c785c5ecf2f222f0e09d9c5c4e902932e1e1cb98219df2e12",
         "bba28d7507110963f4c7101ac4cba4a9b00f8002803ba08687fba536c868bfee"),
-    ('soc', 'tr_hsw', 'sw_plus_sa'): (38, 181,
+    ('soc', 'tr_hsw', 'sw_plus_sa'): (38, 183,
         "8a3626c93ca2cf4bb0b12683f1b749b19837d9e4b5ca020369832a309de86bfb",
         "c96539826e36932b809a731f68c81bfebd0a2f29fde5e300d3a6b2cde0af402b"),
-    ('soc', 'tr_hsw', 'no_persistence'): (32, 142,
+    ('soc', 'tr_hsw', 'no_persistence'): (32, 144,
         "3760fe73dc78284c785c5ecf2f222f0e09d9c5c4e902932e1e1cb98219df2e12",
         "bba28d7507110963f4c7101ac4cba4a9b00f8002803ba08687fba536c868bfee"),
-    ('soc', 'tr_2xsa', ''): (28, 114,
+    ('soc', 'tr_2xsa', ''): (28, 116,
         "570de8775a8fba662bbc024db6e68f09bd5cfad02fb8e6b68b5bf7a2a2edce45",
         "5fc09af1e518fd0f90f05c8f12ad31ffae45df5a30985c4556362972cda23ce7"),
     ('copy', 'tr', ''): (18, 70,

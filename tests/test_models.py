@@ -5,20 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from sharedworkspace import models, workspace
 from sharedworkspace import tensor as T
+from sharedworkspace.attention import multihead
 from sharedworkspace.config import HOSTS, ModelConfig, validate
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.gradcheck import grad_check
 from sharedworkspace.hostcheck import toy_batch, toy_config
 from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     TimsLayer, TimsModel, TransformerClassifier,
-                                    build_model, causal_mask,
-                                    patchify, rims_sw_step, tims_sw_layer)
+                                    _feed_forward, _self_attention, build_model,
+                                    causal_mask, patchify, rims_sw_step, tims_sw_layer)
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.train import batch_loss, resolve_task_fields
 from sharedworkspace.workspace import SharedWorkspace, prefix_mean_matrix
 
-from test_host_pinning import tape_size
+from test_host_pinning import CASES, pin_batch, pin_config, tape_size
 
 
 def toy(host, task="triangles", **kw):
@@ -185,6 +187,106 @@ def test_2xsa_parameter_count_near_ssw():
     sa2 = build_model(toy("tr_2xsa", **dims))
     n_ssw, n_sa2 = (sum(p.size for p in m.parameters().values()) for m in (ssw, sa2))
     assert abs(n_ssw - n_sa2) / n_ssw < 0.10, (n_ssw, n_sa2)
+
+
+# ---- CLS-only last layer -----------------------------------------------------
+
+
+def full_width_logits(model, batch, rng):
+    """Oracle of ``TransformerClassifier.forward``: every layer, the last one
+    too, runs on all tokens, and the head reads row 0 of the final norm."""
+    cfg, dtype = model.cfg, model.dtype
+    patches = patchify(np.asarray(batch["images"], dtype=dtype), cfg.patch_size)
+    b = patches.shape[0]
+    parts = [T.add(T.zeros((b, 1, cfg.n_h), dtype), model.cls), model.embed(Tensor(patches))]
+    if cfg.task == "soc":
+        q = model.q_embed(Tensor(np.asarray(batch["questions"], dtype=dtype)))
+        parts.append(T.reshape(q, (b, 1, cfg.n_h)))
+    h = T.concat(parts, axis=-2)
+    h = T.add(h, model.pos[:h.shape[-2]])
+    drop = lambda x, rows=None: T.dropout(x, cfg.dropout, rng)
+    ws = model.workspace
+    state = ws.reset((b,)) if ws is not None else None
+    for layer in range(cfg.n_layers):
+        blk = model.blocks[layer % len(model.blocks)]
+        if "sa" in blk:
+            h = _self_attention(h, blk["ln1"], blk["sa"], None, drop)
+        if "sa2" in blk:
+            h = _self_attention(h, blk["ln1b"], blk["sa2"], None, drop)
+        if ws is not None:
+            if not cfg.persistent_memory:
+                state = ws.reset((b,))
+            xn = blk["ln1b" if "sa" in blk else "ln1"](h)
+            state, read, _ = ws.communicate(state, xn, xn, cfg.topk)
+            h = T.add(h, drop(read))
+        h = _feed_forward(h, blk, drop)
+    return model.head(model.final_ln(h)[:, 0])
+
+
+def _logits_and_grads(model, forward, batch, train):
+    """Logits, every parameter's gradient of a fixed projection of them, and
+    the dropout generator's state after the forward."""
+    rng = np.random.default_rng(2) if train else None
+    logits = forward(model, batch, rng)
+    state = None if rng is None else rng.bit_generator.state
+    proj = np.random.default_rng(3).standard_normal(logits.shape).astype(model.dtype)
+    T.tsum(T.mul(logits, proj)).backward()
+    grads = {}
+    for name, p in model.parameters().items():
+        grads[name], p.grad = p.grad, None
+    return logits.data, grads, state
+
+
+def _model_logits(model, batch, rng):
+    question = {"question": batch["questions"]} if model.cfg.task == "soc" else {}
+    return model.forward(batch["images"], rng=rng, **question)
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("task,host,variant", [c for c in CASES if c[0] != "copy"])
+def test_classifier_cls_only_last_layer_matches_full_width_oracle(task, host, variant, train):
+    cfg = pin_config(task, host, variant)   # dropout 0.1
+    batch = pin_batch(cfg)
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        model = build_model(cfg, dtype=dtype)
+        got = _logits_and_grads(model, _model_logits, batch, train)
+        want = _logits_and_grads(model, full_width_logits, batch, train)
+        assert got[2] == want[2]   # the same dropout draws
+        runs[dtype] = {"logits": (got[0], want[0]),
+                       **{name: (got[1][name], g) for name, g in want[1].items()}}
+    # float64 agrees to a few ulps.  float32 rounds differently (the one-row
+    # products run as GEMV, not GEMM), so it is held to the float64 values:
+    # no further off than the full-width float32 forward, which loses ~1e-4
+    # of the largest read-projection gradient to cancellation.
+    for name, (got64, want64) in runs[np.float64].items():
+        got32, want32 = runs[np.float32][name]
+        scale = np.abs(want64).max()
+        assert scale > 0, name
+        assert np.abs(got64 - want64).max() <= 1e-12 * scale, name
+        err32 = lambda x: np.abs(x - want64).max() / scale
+        assert err32(got32) <= 4 * err32(want32) + 1e-5, name
+
+
+@pytest.mark.parametrize("host", ["tr", "tr_hsw"])
+def test_classifier_last_layer_attends_from_the_cls_row_only(host, monkeypatch):
+    cfg = toy(host, n_layers=3, **({"topk": 2} if host == "tr_hsw" else {}))
+    shapes = []
+
+    def recording(*args, **kwargs):
+        out = multihead(*args, **kwargs)
+        shapes.append(out.weights.shape)
+        return out
+
+    monkeypatch.setattr(models, "multihead", recording)
+    monkeypatch.setattr(workspace, "multihead", recording)
+    build_model(cfg).forward(np.zeros((3, 16, 16)))
+    b, h, n_t, n_m = 3, 2, 5, 2     # 4 patches + CLS; toy n_heads = mem_heads = 2
+    if host == "tr":
+        assert shapes == [(b, h, n_t, n_t)] * 2 + [(b, h, 1, n_t)]
+    else:   # a full write, then a read, per layer
+        assert shapes == [(b, h, n_m, n_t), (b, h, n_t, n_m)] * 2 + [
+            (b, h, n_m, n_t), (b, h, 1, n_m)]
 
 
 # ---- autoregressive host -----------------------------------------------------

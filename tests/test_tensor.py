@@ -641,6 +641,40 @@ def test_concat_and_take_gradients():
     assert rep.passed
 
 
+@pytest.mark.parametrize("idx", [(slice(None), slice(0, 1)), (Ellipsis, 2, slice(None)),
+                                 1, np.int64(2), (slice(1, None, 2), 0),
+                                 (np.array([0, 2, 0]), slice(None))],
+                         ids=["slice", "ellipsis-int", "int", "np-int", "step-int", "repeats"])
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+def test_take_backward_has_the_scatter_bytes(idx, held):
+    # A basic index takes the in-place path, an advanced one (which may
+    # repeat an element) the scatter; both must give the np.add.at bytes,
+    # the sign of every zero included.
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.standard_normal((3, 4, 5)).astype(np.float32), requires_grad=True)
+    prior = np.where(rng.random(a.shape) < 0.3, -0.0, rng.standard_normal(a.shape))
+    prior = prior.astype(np.float32)
+    out = T.take(a, idx)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    g[rng.random(g.shape) < 0.3] = -0.0
+    g.flat[0] = 0.0
+    expected = prior.copy() if held else np.zeros_like(a.data)
+    np.add.at(expected, idx, g)
+    if held:
+        a.grad, a._owns_grad = prior.copy(), True
+    out.backward(g)
+    assert a.grad.tobytes() == expected.tobytes()
+
+
+def test_dropout_of_some_rows_draws_the_full_width_mask():
+    x = Tensor(np.random.default_rng(0).standard_normal((2, 5, 3)).astype(np.float32))
+    full_rng, rows_rng = np.random.default_rng(7), np.random.default_rng(7)
+    full = T.dropout(x, 0.4, full_rng)
+    part = T.dropout(x[:, 1:3], 0.4, rows_rng, slice(1, 3), 5)
+    assert part.data.tobytes() == full.data[:, 1:3].tobytes()
+    assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+
+
 def test_dropout_eval_mode_is_identity():
     x = t64(np.ones(10))
     assert (T.dropout(x, 0.5, None).data == x.data).all()

@@ -154,8 +154,13 @@ def cmd_dump_attn(args) -> int:
     model, cfg = load_model(args.checkpoint)
     test_d = dataset(cfg, "test", _data_root(args))
     from .train import _batch_arrays, batch_loss
-    # The maps are those of test example 0, so it runs alone.
-    batch_loss(model, cfg, _batch_arrays(cfg, test_d, np.arange(1)), rng=None)
+    # The maps are those of test example 0, so it runs alone.  The LM runs
+    # at full width: its loss would compute only the echo rows' memories.
+    batch = _batch_arrays(cfg, test_d, np.arange(1))
+    if cfg.task == "copy":
+        model.forward(batch["tokens"][:, :-1])
+    else:
+        batch_loss(model, cfg, batch, rng=None)
 
     rows = []
     if isinstance(model, TimsModel):

@@ -16,11 +16,12 @@ competition, gated update, broadcast), which no host assembles itself:
 The five transformer hosts and ``tims_sw`` run one pre-norm transformer
 body.  ``TransformerClassifier`` embeds image patches (plus a question token
 for the relational task), keeps one workspace memory per example and reads
-out the CLS row; its class attribute ``readout`` makes the stack's last
-layer compute that row only after its last token-mixing step.
-``CausalTransformerLM`` embeds the copy task's tokens and reads out every
-position; its class attribute ``causal`` makes the stack mask attention and
-run the workspace round with one memory per position.
+out the CLS row.  ``CausalTransformerLM`` embeds the copy task's tokens and
+reads out the positions its caller names, every one by default; its class
+attribute ``causal`` makes the stack mask attention and run the workspace
+round with one memory per position.  Each host passes the rows it reads to
+the stack, which computes only those rows after the last layer's last
+token-mixing step (TIMs: after its last block).
 ``TimsModel`` is that LM with a modular stack between two monolithic blocks.
 ``RimsModel`` has its own recurrent loop.  ``build_model`` dispatches on the
 config.
@@ -112,8 +113,11 @@ def _rows(x: Tensor, rows) -> Tensor:
 def _self_attention(h: Tensor, ln: LayerNorm, proj: ProjectionSet, mask, drop,
                     rows=None) -> Tensor:
     """Pre-norm residual self-attention sublayer.  With ``rows`` only those
-    token rows query, and the output holds only them."""
+    token rows query, a causal ``mask`` is cut to them, and the output holds
+    only them."""
     xn = ln(h)
+    if rows is not None and mask is not None:
+        mask = mask[rows]
     att = multihead(_rows(xn, rows), xn, proj, mask=mask)
     return T.add(_rows(h, rows), drop(att.values, rows))
 
@@ -141,18 +145,19 @@ class _TransformerStack(T.Module):
     ``tr_2xsa``) or through one ``SharedWorkspace.communicate`` round
     (``tr_ssw``/``tr_hsw``, after a pairwise sublayer with ``sw_plus_sa``),
     then runs the FFN.  ``causal`` picks one memory per example, or one per
-    position with masked self-attention.  ``readout`` names the token rows
-    a non-causal host reads (None: every position).  The last layer's last
-    mixing sublayer takes queries, or workspace readers, from those rows
-    only, and everything after it runs on them; keys, values and writers
-    stay full width.  Dropout there still draws full-width masks, so the
-    generator stream does not depend on ``readout``.  A subclass sets
-    ``max_tokens`` and assigns its embedding, ``pos`` among it, before
-    calling ``__init__``, so the embedding is drawn and listed first.
+    position with masked self-attention.  The ``rows`` a host passes to
+    ``_run_layers`` (a slice; None: every position) are the token rows it
+    reads.  The last layer's last mixing sublayer takes queries, or
+    workspace readers, from those rows only, and everything after it runs
+    on them; keys, values and writers stay full width, and a causal round
+    builds only those rows' memory copies.  Dropout there still draws
+    full-width masks, so the generator stream does not depend on ``rows``.
+    A subclass sets ``max_tokens`` and assigns its embedding, ``pos`` among
+    it, before calling ``__init__``, so the embedding is drawn and listed
+    first.
     """
 
     causal = False
-    readout = None
 
     def __init__(self, cfg: ModelConfig, rng, dtype, n_out: int):
         self.cfg = cfg
@@ -186,43 +191,44 @@ class _TransformerStack(T.Module):
         self.workspace = (_workspace(cfg, rng, dtype, self.max_tokens)
                           if cfg.host in ("tr_ssw", "tr_hsw") else None)
 
-    def _run_layers(self, h: Tensor, rng) -> Tensor:
-        """Final-normed states of embedded tokens ``h`` (B, T, n_h) after the
-        position embedding and every layer."""
+    def _run_layers(self, h: Tensor, rng, rows=None) -> Tensor:
+        """Final-normed states (B, R, n_h) of the token rows ``rows`` of the
+        embedded tokens ``h`` (B, T, n_h), after the position embedding and
+        every layer; all T rows for None."""
         n_t = h.shape[-2]
         if n_t > self.max_tokens:
             raise ConfigError(f"sequence of {n_t} tokens exceeds maximum {self.max_tokens}")
         h = T.add(h, self.pos[:n_t])
         mask = causal_mask(n_t) if self.causal else None
         drop = lambda x, rows=None: T.dropout(x, self.cfg.dropout, rng, rows, n_t)
-        return self.final_ln(self._layers(h, mask, drop))
+        return self.final_ln(self._layers(h, mask, drop, rows))
 
-    def _layers(self, h: Tensor, mask, drop) -> Tensor:
+    def _layers(self, h: Tensor, mask, drop, rows) -> Tensor:
         cfg = self.cfg
         memory_batch = h.shape[:-1] if self.causal else h.shape[:-2]
         state = self.workspace.reset(memory_batch) if self.workspace is not None else None
         # Per stage, the head-mean write map of example 0: (n_m, T), or
-        # (T, n_m, T) with one memory per position.
+        # (R, n_m, T) with one memory per read position.
         self.last_attention = []
         for layer in range(cfg.n_layers):
             blk = self.blocks[layer % len(self.blocks)]
             # The last layer's last mixing sublayer (the workspace round, else
-            # sa2, else sa) and the FFN after it run on the readout rows.
-            rows = self.readout if layer == cfg.n_layers - 1 else None
+            # sa2, else sa) and the FFN after it run on the read rows.
+            cut = rows if layer == cfg.n_layers - 1 else None
             if "sa" in blk:
                 last = "sa2" not in blk and self.workspace is None
-                h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop, rows if last else None)
+                h = _self_attention(h, blk["ln1"], blk["sa"], mask, drop, cut if last else None)
             if "sa2" in blk:
-                h = _self_attention(h, blk["ln1b"], blk["sa2"], mask, drop, rows)
+                h = _self_attention(h, blk["ln1b"], blk["sa2"], mask, drop, cut)
             if self.workspace is not None:
                 if not cfg.persistent_memory:
                     state = self.workspace.reset(memory_batch)
                 xn = blk["ln1b" if "sa" in blk else "ln1"](h)
-                state, read, write = self.workspace.communicate(state, xn, _rows(xn, rows),
-                                                                cfg.topk, self.causal)
+                state, read, write = self.workspace.communicate(state, xn, _rows(xn, cut),
+                                                                cfg.topk, self.causal, cut)
                 self.last_attention.append(write.weights.data[0].mean(axis=-3))
-                h = T.add(_rows(h, rows), drop(read, rows))
-            h = _feed_forward(h, blk, drop, rows)
+                h = T.add(_rows(h, cut), drop(read, cut))
+            h = _feed_forward(h, blk, drop, cut)
         return h
 
 
@@ -233,8 +239,6 @@ class TransformerClassifier(_TransformerStack):
     and all read from it, except at the last layer, where only the CLS row
     (the one the head reads) queries or reads, as in CaiT's class attention.
     """
-
-    readout = slice(0, 1)
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
         rng = _checked_rng(cfg, TRANSFORMER_HOSTS, "transformer classifier")
@@ -261,7 +265,7 @@ class TransformerClassifier(_TransformerStack):
         if self.q_embed is not None:
             q = self.q_embed(Tensor(np.asarray(question, dtype=self.dtype)))
             parts.append(T.reshape(q, (b, 1, cfg.n_h)))
-        h = self._run_layers(T.concat(parts, axis=-2), rng)
+        h = self._run_layers(T.concat(parts, axis=-2), rng, rows=slice(0, 1))
         return self.head(h[:, 0])
 
 
@@ -270,7 +274,8 @@ class CausalTransformerLM(_TransformerStack):
 
     Position t's memory only accumulates writes from positions <= t, and the
     broadcast at t reads t's own memory, so future tokens cannot influence
-    past logits.
+    past logits.  A caller that reads only some positions names them, and
+    the last layer computes only those (see ``_TransformerStack``).
     """
 
     causal = True
@@ -283,9 +288,11 @@ class CausalTransformerLM(_TransformerStack):
         self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
         super().__init__(cfg, rng, dtype, cfg.vocab_size)
 
-    def forward(self, tokens: np.ndarray, rng=None) -> Tensor:
-        """Next-token logits (B, T, vocab) for integer ``tokens`` (B, T)."""
-        return self.head(self._run_layers(self.embed[np.asarray(tokens)], rng))
+    def forward(self, tokens: np.ndarray, rng=None, rows=None) -> Tensor:
+        """Next-token logits (B, R, vocab) at the positions ``rows`` (a slice;
+        None: all T) of integer ``tokens`` (B, T).  ``rng`` enables dropout
+        (training mode)."""
+        return self.head(self._run_layers(self.embed[np.asarray(tokens)], rng, rows))
 
 
 # ---- recurrent specialists (RIMs host) ---------------------------------------
@@ -476,7 +483,8 @@ def tims_sw_layer(layer: TimsLayer, ws: SharedWorkspace, state: WorkspaceState,
 class TimsModel(CausalTransformerLM):
     """Autoregressive LM whose causal transformer body is monolithic layers
     sandwiching a modular stack; its mechanisms communicate through a
-    per-position shared workspace."""
+    per-position shared workspace.  Every position runs to the end of
+    ``mono_out``; only then are the read ``rows`` cut out."""
 
     hosts, kind = ("tims_sw",), "mechanism-partitioned model"
 
@@ -501,7 +509,7 @@ class TimsModel(CausalTransformerLM):
                                  dtype=dtype, prefix="modular")
         self.workspace = _workspace(cfg, rng, dtype, n_b, read_q_dim=dm)
 
-    def _layers(self, h: Tensor, mask, drop) -> Tensor:
+    def _layers(self, h: Tensor, mask, drop, rows) -> Tensor:
         mono = lambda blk, h: _feed_forward(
             _self_attention(h, blk["ln1"], blk["sa"], mask, drop), blk, drop)
         h = mono(self.mono_in, h)
@@ -510,7 +518,7 @@ class TimsModel(CausalTransformerLM):
         for _ in range(self.cfg.n_layers):
             h, state, sel = tims_sw_layer(self.modular, self.workspace, state, h, mask, drop)
             self.last_selection.append(sel.indices)
-        return mono(self.mono_out, h)
+        return _rows(mono(self.mono_out, h), rows)
 
 
 # ---- dispatch ----------------------------------------------------------------

@@ -253,7 +253,7 @@ def gen_copy(n: int, vocab: int = 8, seq_len: int = 10, seed: int = 0) -> dict:
     ``vocab`` counts all tokens; token 0 is the delimiter, content symbols are
     1..vocab-1.  ``seq_len`` is the combined prefix+echo length (even); the
     emitted sequences have seq_len+1 tokens.  Loss applies to the echo region
-    only (see ``copy_loss_mask``).
+    only (see ``copy_echo_rows``).
     """
     if n < 1:
         raise ConfigError("need n >= 1")
@@ -276,12 +276,9 @@ def gen_copy(n: int, vocab: int = 8, seq_len: int = 10, seed: int = 0) -> dict:
     }
 
 
-def copy_loss_mask(seq_len: int) -> np.ndarray:
-    """Mask over next-token targets (length seq_len) selecting the echo."""
-    half = seq_len // 2
-    mask = np.zeros(seq_len, dtype=np.float32)
-    mask[half:] = 1.0   # targets at positions half..seq_len-1 are the echo
-    return mask
+def copy_echo_rows(seq_len: int) -> slice:
+    """The positions of the echo among the ``seq_len`` next-token targets."""
+    return slice(seq_len // 2, seq_len)
 
 
 # ---- on-disk format ----------------------------------------------------------

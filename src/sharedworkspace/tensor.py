@@ -546,23 +546,17 @@ def log_softmax(a) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
+def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer ``targets`` under ``logits``.
 
     ``logits`` has shape (..., n_classes); ``targets`` the matching integer
-    shape.  Fused log-softmax keeps the op stable for large logits.  With
-    ``weights``, a constant broadcastable to ``targets`` (the copy task's
-    0/1 echo-region mask), the mean is over the weighted positions:
-    ``sum(w * nll) / max(sum(w), 1)``.
+    shape.  Fused log-softmax keeps the op stable for large logits.
     """
     targets = np.asarray(targets)
     lp = log_softmax(logits)
     flat = reshape(lp, (-1, logits.data.shape[-1]))
     picked = take(flat, (np.arange(flat.data.shape[0]), targets.reshape(-1)))
-    if weights is None:
-        return mul(tsum(picked), -1.0 / picked.data.size)
-    w = np.broadcast_to(weights, targets.shape).reshape(-1).astype(flat.data.dtype)
-    return mul(tsum(mul(picked, w)), -1.0 / max(float(w.sum()), 1.0))
+    return mul(tsum(picked), -1.0 / picked.data.size)
 
 
 # ---- composite layers -------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .models import build_model
 from .optim import Adam, NumericError, cosine_lr
 from .serialization import CheckpointError, MetricsWriter, load_checkpoint, save_checkpoint
-from .tasks import (SOC_RELATIONAL_BIT, copy_loss_mask, gen_copy, gen_sort_of_clevr,
+from .tasks import (SOC_RELATIONAL_BIT, copy_echo_rows, gen_copy, gen_sort_of_clevr,
                     gen_triangles, load_dataset, save_dataset)
 
 # Offset separating the test-set seed stream from the train-set stream.
@@ -93,11 +93,12 @@ def batch_loss(model, cfg: ModelConfig, batch: dict, rng=None):
     if cfg.task == "copy":
         tokens = batch["tokens"]
         inp, tgt = tokens[:, :-1], tokens[:, 1:]
-        logits = model.forward(inp, rng=rng)
-        mask = copy_loss_mask(tgt.shape[1])
-        loss = T.cross_entropy(logits, tgt, weights=mask)
-        pred = logits.data.argmax(axis=-1)
-        correct = (pred == tgt)[:, mask == 1].reshape(-1)
+        # The model computes only the logits the loss reads: the echo's.
+        echo = copy_echo_rows(tgt.shape[1])
+        tgt = tgt[:, echo]
+        logits = model.forward(inp, rng=rng, rows=echo)
+        loss = T.cross_entropy(logits, tgt)
+        correct = (logits.data.argmax(axis=-1) == tgt).reshape(-1)
         return loss, correct
     if cfg.task == "soc":
         targets = batch["answers"]

@@ -151,30 +151,45 @@ class SharedWorkspace(T.Module):
         return T.add(specialists, att.values), att
 
     def communicate(self, ws: WorkspaceState, writers: Tensor, readers: Tensor,
-                    topk: int | None = None,
-                    causal: bool = False) -> tuple[WorkspaceState, Tensor, AttentionOutput]:
+                    topk: int | None = None, causal: bool = False,
+                    rows=None) -> tuple[WorkspaceState, Tensor, AttentionOutput]:
         """Write, gated update, then read: (new state, read values shaped like
         ``readers`` without the residual, write attention).
 
         Writers (..., n_s, n_h) share one memory (..., n_m, n_l).  With
         ``causal`` writers and readers are (B, T, d) and the memory (B, T, n_m,
         n_l): copy t takes writes from positions <= t, its gate pools their
-        prefix mean, and position t reads copy t.
+        prefix mean, and position t reads copy t.  ``rows``, a slice, names
+        the writer positions that ``readers`` holds (None: every position in
+        a causal round; readers that are not positions otherwise).  A causal
+        round builds only those positions' memory copies: the incoming
+        memory, the write mask and the prefix mean are cut to them, and the
+        new state holds only them.
         """
+        positions = range(writers.shape[-2])
+        if rows is not None:
+            positions = positions[rows]
+        if (causal or rows is not None) and readers.shape[-2] != len(positions):
+            raise ConfigError(f"{readers.shape[-2]} readers for the {len(positions)} "
+                              f"writer positions {rows or 'all'}")
         if not causal:
             cand, att = self.write_step(ws, writers, topk)
             ws = self.gated_update(ws, cand, writers)
             return ws, multihead(readers, ws.memory, self.read_proj).values, att
         b, n_t, n_h = writers.shape
-        # Write-mask axes: memory copy t (axis -4), heads, slots, writer position.
-        mask = causal_mask(n_t).reshape(n_t, 1, 1, n_t)
+        n_r = len(positions)
+        keep, prefix_mean = causal_mask(n_t), prefix_mean_matrix(n_t, self.dtype)
+        if rows is not None:
+            ws = WorkspaceState(memory=ws.memory[:, rows])
+            keep, prefix_mean = keep[rows], prefix_mean[rows]
+        # Write-mask axes: memory copy (axis -4), heads, slots, writer position.
+        mask = keep.reshape(n_r, 1, 1, n_t)
         cand, att = self.write_step(ws, T.reshape(writers, (b, 1, n_t, n_h)), topk, mask)
         # Pool from ``writers``, not the view above: it fixes the order in
         # which gradients add up.
-        pooled = T.matmul(Tensor(prefix_mean_matrix(n_t, self.dtype)),
-                          T.relu(T.matmul(writers, self.w1)))
-        ws = self.gated_update_from_pooled(ws, cand, T.reshape(pooled, (b, n_t, 1, self.n_l)))
-        read = multihead(T.reshape(readers, (b, n_t, 1, readers.shape[-1])),
+        pooled = T.matmul(Tensor(prefix_mean), T.relu(T.matmul(writers, self.w1)))
+        ws = self.gated_update_from_pooled(ws, cand, T.reshape(pooled, (b, n_r, 1, self.n_l)))
+        read = multihead(T.reshape(readers, (b, n_r, 1, readers.shape[-1])),
                          ws.memory, self.read_proj)
         return ws, T.reshape(read.values, readers.shape), att
 

@@ -83,31 +83,31 @@ PINS = {
     ('soc', 'tr_2xsa', ''): (28, 116,
         "570de8775a8fba662bbc024db6e68f09bd5cfad02fb8e6b68b5bf7a2a2edce45",
         "5fc09af1e518fd0f90f05c8f12ad31ffae45df5a30985c4556362972cda23ce7"),
-    ('copy', 'tr', ''): (18, 70,
+    ('copy', 'tr', ''): (18, 71,
         "6395123cad7c5d57c80bb021b3131edf91a96fc06cb41ab9193196803cbdd1b7",
         "e961fa361ea0c01a8af2516cbfa5a8b836171929d8f02cf69f405af6a92e541d"),
-    ('copy', 'tr_hc', ''): (30, 70,
+    ('copy', 'tr_hc', ''): (30, 71,
         "d30cfa21efb78cab435f31df060afdfde2ed005932adcd11abd5ea0fd2d56bc5",
         "332f658caef30d756d2982efc95a23be76f3060d3f0679e7876ef7f3c050c4bc"),
-    ('copy', 'tr_ssw', ''): (28, 143,
+    ('copy', 'tr_ssw', ''): (28, 145,
         "39e6c64ede66b169b904d78b457f91a0a135b93c02accd917a65028f76d5a679",
         "17aa1b6de2d76f6f006067379dcda24fbc6c01af721d562250b1db683046c4d3"),
-    ('copy', 'tr_ssw', 'sw_plus_sa'): (34, 185,
+    ('copy', 'tr_ssw', 'sw_plus_sa'): (34, 187,
         "0c8029dc1038760f5530bdc3abc83fce71fc769f5cfc32a56008b5b32d6ca6e1",
         "e7eb6d9c7db3b413b150dfda7c90e1641f2263c47fb358fe316fbf7eac52352f"),
-    ('copy', 'tr_ssw', 'no_persistence'): (28, 144,
+    ('copy', 'tr_ssw', 'no_persistence'): (28, 146,
         "39e6c64ede66b169b904d78b457f91a0a135b93c02accd917a65028f76d5a679",
         "17aa1b6de2d76f6f006067379dcda24fbc6c01af721d562250b1db683046c4d3"),
-    ('copy', 'tr_hsw', ''): (28, 143,
+    ('copy', 'tr_hsw', ''): (28, 145,
         "39e6c64ede66b169b904d78b457f91a0a135b93c02accd917a65028f76d5a679",
         "17aa1b6de2d76f6f006067379dcda24fbc6c01af721d562250b1db683046c4d3"),
-    ('copy', 'tr_hsw', 'sw_plus_sa'): (34, 185,
+    ('copy', 'tr_hsw', 'sw_plus_sa'): (34, 187,
         "0c8029dc1038760f5530bdc3abc83fce71fc769f5cfc32a56008b5b32d6ca6e1",
         "e7eb6d9c7db3b413b150dfda7c90e1641f2263c47fb358fe316fbf7eac52352f"),
-    ('copy', 'tr_hsw', 'no_persistence'): (28, 144,
+    ('copy', 'tr_hsw', 'no_persistence'): (28, 146,
         "39e6c64ede66b169b904d78b457f91a0a135b93c02accd917a65028f76d5a679",
         "17aa1b6de2d76f6f006067379dcda24fbc6c01af721d562250b1db683046c4d3"),
-    ('copy', 'tr_2xsa', ''): (24, 112,
+    ('copy', 'tr_2xsa', ''): (24, 113,
         "25f471d6f44e5f2faad63cbd61aa3d37c7f9caf2e19049f145cd67d2c3f838cf",
         "322456a1f6702b73701b5c81395af6f8c102ae945eaa4b1cf9ae4729aff57278"),
 }

@@ -12,6 +12,7 @@ from sharedworkspace.config import HOSTS, ModelConfig, validate
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.gradcheck import grad_check
 from sharedworkspace.hostcheck import toy_batch, toy_config
+from sharedworkspace.tasks import copy_echo_rows
 from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     TimsLayer, TimsModel, TransformerClassifier,
                                     _feed_forward, _self_attention, build_model,
@@ -287,6 +288,68 @@ def test_classifier_last_layer_attends_from_the_cls_row_only(host, monkeypatch):
     else:   # a full write, then a read, per layer
         assert shapes == [(b, h, n_m, n_t), (b, h, n_t, n_m)] * 2 + [
             (b, h, n_m, n_t), (b, h, 1, n_m)]
+
+
+# ---- echo-rows-only last layer of the language model --------------------------
+
+
+def _echo_logits(model, batch, rng):
+    """The logits ``batch_loss`` reads: the model computes only the echo rows."""
+    inp = batch["tokens"][:, :-1]
+    return model.forward(inp, rng=rng, rows=copy_echo_rows(inp.shape[1]))
+
+
+def _full_width_echo_logits(model, batch, rng):
+    """Oracle: every position runs through every layer, the last one too, and
+    the echo rows are cut from the logits."""
+    inp = batch["tokens"][:, :-1]
+    return model.forward(inp, rng=rng)[:, copy_echo_rows(inp.shape[1])]
+
+
+@pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("task,host,variant", [c for c in CASES if c[0] == "copy"])
+def test_lm_echo_only_last_layer_matches_full_width_oracle(task, host, variant, train):
+    cfg = pin_config(task, host, variant)   # dropout 0.1
+    batch = pin_batch(cfg)
+    runs = {}
+    for dtype in (np.float64, np.float32):
+        model = build_model(cfg, dtype=dtype)
+        got = _logits_and_grads(model, _echo_logits, batch, train)
+        want = _logits_and_grads(model, _full_width_echo_logits, batch, train)
+        assert got[2] == want[2]   # the same dropout draws
+        runs[dtype] = {"logits": (got[0], want[0]),
+                       **{name: (got[1][name], g) for name, g in want[1].items()}}
+    # Shorter sums round differently; float32 is held to the float64 values,
+    # no further off than the full-width float32 forward.
+    for name, (got64, want64) in runs[np.float64].items():
+        got32, want32 = runs[np.float32][name]
+        scale = np.abs(want64).max()
+        assert scale > 0, name
+        assert np.abs(got64 - want64).max() <= 1e-12 * scale, name
+        err32 = lambda x: np.abs(x - want64).max() / scale
+        assert err32(got32) <= 4 * err32(want32) + 1e-5, name
+
+
+@pytest.mark.parametrize("host", ["tr", "tr_hsw"])
+def test_lm_last_layer_computes_only_the_read_rows(host, monkeypatch):
+    cfg = toy(host, task="copy", n_layers=3, **({"topk": 2} if host == "tr_hsw" else {}))
+    shapes = []
+
+    def recording(*args, **kwargs):
+        out = multihead(*args, **kwargs)
+        shapes.append(out.weights.shape)
+        return out
+
+    monkeypatch.setattr(models, "multihead", recording)
+    monkeypatch.setattr(workspace, "multihead", recording)
+    logits = build_model(cfg).forward(np.zeros((3, 6), dtype=int), rows=slice(2, 6))
+    b, h, n_t, r, n_m = 3, 2, 6, 4, 2     # toy n_heads = mem_heads = 2
+    assert logits.shape == (b, r, cfg.vocab_size)
+    if host == "tr":
+        assert shapes == [(b, h, n_t, n_t)] * 2 + [(b, h, r, n_t)]
+    else:   # per layer a write into each memory copy, then a read from it
+        assert shapes == [(b, n_t, h, n_m, n_t), (b, n_t, h, 1, n_m)] * 2 + [
+            (b, r, h, n_m, n_t), (b, r, h, 1, n_m)]
 
 
 # ---- autoregressive host -----------------------------------------------------
@@ -768,7 +831,7 @@ def test_rims_training_loss_and_gradients_pinned():
 # which the write, gate and read contributions are summed into the normed
 # states, so a refactor of the workspace round that moves them shows here.
 LM_LOSS_BYTES = "becaf53f"
-LM_GRAD_SHA = "f927d553b61c61787c6ed7df4f8f94f977eaf22801da1e2ccb1da98349f999f5"
+LM_GRAD_SHA = "b6278e5c623d9e3432c4d2bcedb82dd63dcd3cc78987d727c7cb2c4d43c2e12a"
 
 
 def test_causal_lm_training_loss_and_gradients_pinned():

@@ -6,7 +6,7 @@ import pytest
 
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.serialization import CheckpointError
-from sharedworkspace.tasks import (SOC_ANSWERS, answer_question, copy_loss_mask,
+from sharedworkspace.tasks import (SOC_ANSWERS, answer_question, copy_echo_rows,
                                    decode_question, encode_question, gen_copy,
                                    gen_sort_of_clevr, gen_triangles, load_dataset,
                                    save_dataset, triangle_spread)
@@ -165,9 +165,12 @@ def test_copy_single_symbol_vocab_is_trivial():
     assert (d["tokens"][:, :3] == 1).all()
 
 
-def test_copy_loss_mask_selects_echo():
-    mask = copy_loss_mask(10)
-    np.testing.assert_array_equal(mask, [0] * 5 + [1] * 5)
+def test_copy_echo_rows_select_the_echo_targets():
+    toks = gen_copy(6, vocab=7, seq_len=10, seed=4)["tokens"]
+    targets = toks[:, 1:]                       # next-token targets, 10 per row
+    echo = targets[:, copy_echo_rows(10)]
+    np.testing.assert_array_equal(echo, toks[:, :5])
+    np.testing.assert_array_equal(echo, toks[:, 6:])
 
 
 def test_copy_unigram_baseline_near_chance():

@@ -556,20 +556,6 @@ def test_cross_entropy_gradcheck():
     assert rep.passed
 
 
-def test_weighted_cross_entropy_gradcheck_every_entry():
-    rng = np.random.default_rng(3)
-    x = t64(rng.normal(size=(2, 4, 3)), requires_grad=True, name="x")
-    targets = rng.integers(0, 3, size=(2, 4))
-    weights = np.array([0, 1, 1, 0])      # broadcast over the batch axis
-    def f(p):
-        return T.cross_entropy(p["x"], targets, weights=weights)
-    rep = grad_check(f, {"x": x}, max_entries_per_param=None)
-    assert rep.max_rel_err < 1e-8, rep.per_param
-    lp = x.data - np.log(np.exp(x.data).sum(-1, keepdims=True))
-    nll = -np.take_along_axis(lp, targets[..., None], -1)[..., 0]
-    assert abs(f({"x": x}).item() - nll[:, 1:3].mean()) < 1e-12
-
-
 # ---- Adam ---------------------------------------------------------------------
 
 

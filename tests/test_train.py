@@ -55,27 +55,6 @@ def test_host_task_bindings_enforced():
                                       n_h=16, n_s=4))
 
 
-def test_masked_cross_entropy_all_ones_matches_unmasked():
-    rng = np.random.default_rng(0)
-    logits = T.Tensor(rng.normal(size=(3, 5, 4)))
-    targets = rng.integers(0, 4, size=(3, 5))
-    a = T.cross_entropy(logits, targets, weights=np.ones(5))
-    b = T.cross_entropy(logits, targets)
-    assert abs(float(a.data) - float(b.data)) < 1e-12
-
-
-def test_masked_cross_entropy_ignores_masked_positions():
-    rng = np.random.default_rng(1)
-    logits = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-    targets = rng.integers(0, 3, size=(2, 4))
-    mask = np.array([0, 0, 1, 1])
-    loss = T.cross_entropy(logits, targets, weights=mask)
-    loss.backward()
-    # masked-out positions contribute no gradient
-    assert np.abs(logits.grad[:, :2]).max() == 0.0
-    assert np.abs(logits.grad[:, 2:]).max() > 0.0
-
-
 # ---- datasets ----------------------------------------------------------------
 
 

@@ -248,6 +248,38 @@ def test_causal_round_matches_plain_round_over_each_prefix():
         assert np.abs(read.data[:, t] - read_t.data[:, 0]).max() < 1e-12
 
 
+def test_causal_round_over_rows_builds_only_those_memory_copies():
+    # Naming the read positions cuts the state and the reads of the full
+    # round to them; every position still writes.
+    rng = np.random.default_rng(19)
+    ws = make_ws(rng, n_s=6)
+    b, n_t, rows = 2, 6, slice(2, 5)
+    writers = t64(rng.normal(size=(b, n_t, 8)))
+    readers = t64(rng.normal(size=(b, n_t, 8)))
+    memory = t64(rng.normal(size=(b, n_t, ws.n_m, ws.n_l)))
+    full, read, _ = ws.communicate(WorkspaceState(memory), writers, readers, causal=True)
+    cut, read_r, write = ws.communicate(WorkspaceState(memory), writers, readers[:, rows],
+                                        causal=True, rows=rows)
+    assert cut.memory.shape == (b, 3, ws.n_m, ws.n_l) and read_r.shape == (b, 3, 8)
+    assert write.weights.shape == (b, 3, ws.n_heads, ws.n_m, n_t)
+    assert np.abs(cut.memory.data - full.memory.data[:, rows]).max() < 1e-12
+    assert np.abs(read_r.data - read.data[:, rows]).max() < 1e-12
+
+
+@pytest.mark.parametrize("causal", [True, False])
+def test_readers_must_be_the_named_rows(causal):
+    rng = np.random.default_rng(20)
+    ws = make_ws(rng, n_s=6)
+    writers, readers = t64(rng.normal(size=(2, 6, 8))), t64(rng.normal(size=(2, 6, 8)))
+    memory_batch = (2, 6) if causal else (2,)
+    cases = [(readers[:, 2:], slice(3, 6)), (readers, slice(3, 6))]
+    if causal:   # no rows: every position reads
+        cases.append((readers[:, 3:], None))
+    for got, rows in cases:
+        with pytest.raises(ConfigError, match="readers"):
+            ws.communicate(ws.reset(memory_batch), writers, got, causal=causal, rows=rows)
+
+
 # ---- reset / persistence ------------------------------------------------------
 
 

@@ -8,6 +8,23 @@ One backward consumes the tape: each interior node drops its gradient, its
 closure and its inputs as soon as its closure has run, so a second backward
 through the same graph raises ``RuntimeError``.  Leaves (tensors created with
 ``requires_grad=True``) keep their gradients, each in an owned C-order array.
+
+The tape holds only what backward reads.  An op output that records a
+gradient is two objects: the caller's tensor, which holds the data, and a
+``_Node`` (gradient, closure, ``_prev``, ``_owns_grad``, shape and dtype, no
+data), whose attributes the tensor's ``grad``, ``requires_grad``,
+``_backward``, ``_prev`` and ``_owns_grad`` read and write.  A leaf, parameter
+or constant, is its own node.  Consumers' ``_prev`` and closures hold nodes,
+never input tensors, and each closure captures exactly the arrays its formula
+reads: matmul the other operand (only when this side takes a gradient), mul
+the other factor (dropout: its mask), softmax, log-softmax, tanh, sigmoid and
+relu their output, layer norm ``xh``, ``inv`` and the gain; add, reshape,
+swapaxes, concat, take and tsum only shapes and indices.  Any other buffer,
+such as raw attention scores, pre-bias products or residual sums, is freed
+when the caller drops its tensor.  A new op follows the same rule: its
+closure names the input nodes from ``_grad_node`` and the arrays it reads,
+and no input tensor.
+
 Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
@@ -21,16 +38,16 @@ data-dependent mask (sigmoid uses one formula for both signs).  Layers
 that own parameters derive from ``Module``, which finds them by walking the
 layer's attributes.
 
-A forward holds tens of MiB of tape buffers that are all freed together when
-the loss is dropped.  Left to its defaults, glibc would give that heap top
-back to the kernel (and serve buffers above its dynamic threshold by mmap),
-so every step and evaluation faulted the same pages in again, and how many
-it faulted depended on the heap layout, not on the ops.  So importing this
-module sets glibc's mmap threshold to its 64-bit ceiling of 32 MiB and its
-trim threshold above any step's working set: freed buffers stay in the heap
-and the next step reuses them.  Both are set because setting either one
-turns glibc's dynamic threshold off.  Without a glibc ``mallopt`` (another
-C library) nothing is set.
+A forward still holds tens of MiB of tape buffers that are all freed together
+when the loss is dropped.  Left to its defaults, glibc would give that heap
+top back to the kernel (and serve buffers above its dynamic threshold by
+mmap), so every step and evaluation faulted the same pages in again, and how
+many it faulted depended on the heap layout, not on the ops.  So importing
+this module sets glibc's mmap threshold to its 64-bit ceiling of 32 MiB and
+its trim threshold above any step's working set: freed buffers stay in the
+heap and the next step reuses them.  Both are set because setting either one
+turns glibc's dynamic threshold off.  Without a glibc ``mallopt`` (another C
+library) nothing is set.
 """
 
 from __future__ import annotations
@@ -87,7 +104,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad",
+                 "_node")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -104,6 +122,8 @@ class Tensor:
         # False while ``grad`` is an array borrowed from another node's
         # gradient (see ``_accum``); it is then copied before any write.
         self._owns_grad = True
+        # None: this tensor is its own tape node (a leaf, or no tape).
+        self._node = None
 
     # ---- basic introspection -------------------------------------------------
 
@@ -144,9 +164,10 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
+        root = self._node or self
 
         topo, visited = [], set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -162,11 +183,11 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        if self.grad is not None:
-            grad = self.grad + grad
-        elif self._backward is None:
+        if root.grad is not None:
+            grad = root.grad + grad
+        elif root._backward is None:
             grad = np.array(grad, order="C")   # a leaf owns its gradient
-        self.grad = grad
+        root.grad = grad
         while topo:
             node = topo.pop()
             if node._backward is None:
@@ -186,6 +207,46 @@ class Tensor:
         return take(self, idx)
 
 
+class _Node:
+    """The tape's record of an op output: everything of a tensor except its
+    data.  Consumers' ``_prev`` and closures hold this, not the output."""
+
+    __slots__ = ("grad", "requires_grad", "_backward", "_prev", "_owns_grad", "shape", "dtype")
+
+    def __init__(self, data, prev):
+        self.grad = None
+        self.requires_grad = True
+        self._backward = None
+        self._prev = prev
+        self._owns_grad = True
+        self.shape = data.shape
+        self.dtype = data.dtype
+
+
+def _on_node(name):
+    return property(lambda t: getattr(t._node, name),
+                    lambda t, value: setattr(t._node, name, value))
+
+
+class _Output(Tensor):
+    """The caller's handle on an op output that records a gradient: it holds
+    the data, and its graph attributes are those of its node."""
+
+    __slots__ = ()
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _backward = _on_node("_backward")
+    _prev = _on_node("_prev")
+    _owns_grad = _on_node("_owns_grad")
+
+    def __init__(self, data, prev):
+        # An op's result is already a float array, or a numpy scalar from a
+        # full reduction.
+        self.data = np.asarray(data)
+        self.name = None
+        self._node = _Node(self.data, prev)
+
+
 def _astensor(x, like=None) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -193,12 +254,25 @@ def _astensor(x, like=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _grad_node(t: Tensor):
+    """The node that collects ``t``'s gradient, or None when it takes none."""
+    node = t._node or t
+    return node if node.requires_grad else None
+
+
 def _make(data, prev) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in prev):
-        out.requires_grad = True
-        out._prev = tuple(prev)
-    return out
+    """The output of an op on the tensors ``prev``.  It records a gradient
+    when the tape is on and some input takes one; its node's ``_prev`` then
+    holds those inputs' nodes."""
+    if _grad_enabled:
+        nodes = ()
+        for p in prev:
+            node = p._node or p
+            if node.requires_grad:
+                nodes += (node,)
+        if nodes:
+            return _Output(data, nodes)
+    return Tensor(data)
 
 
 def _consumed(g=None):
@@ -222,11 +296,11 @@ def _accum(t: Tensor, g, fresh=False):
         return
     if t.grad is None:
         if (t._backward is not None and isinstance(g, np.ndarray)
-                and g.dtype == t.data.dtype and g.flags.c_contiguous):
+                and g.dtype == t.dtype and g.flags.c_contiguous):
             t.grad = g
             t._owns_grad = fresh
         else:
-            t.grad = np.array(g, dtype=t.data.dtype, order="C")
+            t.grad = np.array(g, dtype=t.dtype, order="C")
             t._owns_grad = True
     elif t._owns_grad:
         t.grad += g
@@ -252,39 +326,47 @@ def _unbroadcast(g, shape):
 def add(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     out = _make(a.data + b.data, (a, b))
-    if out.requires_grad:
+    if out._node is not None:
+        na, nb = _grad_node(a), _grad_node(b)
         def _bw(g):
             # A summed-down gradient is fresh; an unreduced one is ``g`` itself.
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g, a.data.shape), fresh=g.shape != a.data.shape)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g, b.data.shape), fresh=g.shape != b.data.shape)
-        out._backward = _bw
+            if na is not None:
+                _accum(na, _unbroadcast(g, na.shape), fresh=g.shape != na.shape)
+            if nb is not None:
+                _accum(nb, _unbroadcast(g, nb.shape), fresh=g.shape != nb.shape)
+        out._node._backward = _bw
     return out
 
 
 def mul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     out = _make(a.data * b.data, (a, b))
-    if out.requires_grad:
+    if out._node is not None:
+        na, nb = _grad_node(a), _grad_node(b)
+        # Each factor's gradient reads the other factor only.
+        ad = a.data if nb is not None else None
+        bd = b.data if na is not None else None
         def _bw(g):
-            if a.requires_grad:
-                _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
-            if b.requires_grad:
-                _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
-        out._backward = _bw
+            if na is not None:
+                _accum(na, _unbroadcast(g * bd, na.shape), fresh=True)
+            if nb is not None:
+                _accum(nb, _unbroadcast(g * ad, nb.shape), fresh=True)
+        out._node._backward = _bw
     return out
 
 
 def relu(a) -> Tensor:
     a = _astensor(a)
-    out = _make(np.maximum(a.data, 0.0), (a,))
-    if out.requires_grad:
-        # The mask is made here, not at forward time: a forward that is never
-        # differentiated (evaluation) still records the tape.
+    y = np.maximum(a.data, 0.0)
+    out = _make(y, (a,))
+    if out._node is not None:
+        na = _grad_node(a)
+        # relu(x) > 0 exactly where x > 0 (for +-0 and NaN too), so the mask
+        # reads the output.  It is made here, not at forward time: a forward
+        # that is never differentiated (evaluation) still records the tape.
         def _bw(g):
-            _accum(a, g * (a.data > 0), fresh=True)
-        out._backward = _bw
+            _accum(na, g * (y > 0), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -292,10 +374,11 @@ def tanh(a) -> Tensor:
     a = _astensor(a)
     y = np.tanh(a.data)
     out = _make(y, (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
-            _accum(a, g * (1.0 - y * y), fresh=True)
-        out._backward = _bw
+            _accum(na, g * (1.0 - y * y), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -312,10 +395,11 @@ def sigmoid(a) -> Tensor:
     d += 1.0
     y /= d
     out = _make(y, (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
-            _accum(a, g * y * (1.0 - y), fresh=True)
-        out._backward = _bw
+            _accum(na, g * y * (1.0 - y), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -324,37 +408,39 @@ def sigmoid(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _astensor(a)
-    old = a.data.shape
     out = _make(a.data.reshape(shape), (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
-            _accum(a, g.reshape(old))
-        out._backward = _bw
+            _accum(na, g.reshape(na.shape))
+        out._node._backward = _bw
     return out
 
 
 def swapaxes(a, ax1, ax2) -> Tensor:
     a = _astensor(a)
     out = _make(np.swapaxes(a.data, ax1, ax2), (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
-            _accum(a, np.swapaxes(g, ax1, ax2))
-        out._backward = _bw
+            _accum(na, np.swapaxes(g, ax1, ax2))
+        out._node._backward = _bw
     return out
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_astensor(t) for t in tensors]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    if out._node is not None:
+        nodes = [_grad_node(t) for t in tensors]
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         def _bw(g):
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accum(t, g[tuple(idx)])
-        out._backward = _bw
+            for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+                if n is not None:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = slice(lo, hi)
+                    _accum(n, g[tuple(idx)])
+        out._node._backward = _bw
     return out
 
 
@@ -374,22 +460,19 @@ def take(a, idx) -> Tensor:
     """
     a = _astensor(a)
     out = _make(a.data[idx], (a,))
-    if out.requires_grad:
-        basic = _is_basic_index(idx)
-
+    if out._node is not None:
+        na, basic = _grad_node(a), _is_basic_index(idx)
         def _bw(g):
-            if not a.requires_grad:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            elif not a._owns_grad:
-                a.grad = a.grad.copy()
-            a._owns_grad = True
+            if na.grad is None:
+                na.grad = np.zeros(na.shape, na.dtype)
+            elif not na._owns_grad:
+                na.grad = na.grad.copy()
+            na._owns_grad = True
             if basic:
-                a.grad[idx] += g
+                na.grad[idx] += g
             else:
-                np.add.at(a.grad, idx, g)
-        out._backward = _bw
+                np.add.at(na.grad, idx, g)
+        out._node._backward = _bw
     return out
 
 
@@ -399,12 +482,13 @@ def take(a, idx) -> Tensor:
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _astensor(a)
     out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape).copy(), fresh=True)
-        out._backward = _bw
+            _accum(na, np.broadcast_to(g, na.shape).copy(), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -454,20 +538,25 @@ def matmul(a, b) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
     out = _make(np.matmul(a.data, b.data), (a, b))
-    if out.requires_grad:
+    if out._node is not None:
+        na, nb = _grad_node(a), _grad_node(b)
         # 1-D operands take part as a (1, k) row or a (k, 1) column.
         a2 = a.data if a.data.ndim > 1 else a.data[None, :]
         b2 = b.data if b.data.ndim > 1 else b.data[:, None]
         g_shape = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (a2.shape[-2], b2.shape[-1])
+        a2_shape, b2_shape = a2.shape, b2.shape
+        # Each operand's gradient reads the other operand only.
+        a2 = a2 if nb is not None else None
+        b2 = b2 if na is not None else None
         def _bw(g):
             g = g.reshape(g_shape)
-            if a.requires_grad:
-                _accum(a, _matmul_sum(g, _transposed(b2), a2.shape).reshape(a.data.shape),
+            if na is not None:
+                _accum(na, _matmul_sum(g, _transposed(b2), a2_shape).reshape(na.shape),
                        fresh=True)
-            if b.requires_grad:
-                _accum(b, _matmul_sum(_transposed(a2), g, b2.shape).reshape(b.data.shape),
+            if nb is not None:
+                _accum(nb, _matmul_sum(_transposed(a2), g, b2_shape).reshape(nb.shape),
                        fresh=True)
-        out._backward = _bw
+        out._node._backward = _bw
     return out
 
 
@@ -522,13 +611,14 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
     if keep is not None:
         keep = np.asarray(keep, dtype=y.dtype)
     out = _make(y if keep is None else y * keep, (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
             if keep is not None:
                 g = g * keep
             dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(a, y * (g - dot), fresh=True)
-        out._backward = _bw
+            _accum(na, y * (g - dot), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -539,10 +629,11 @@ def log_softmax(a) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
     out = _make(y, (a,))
-    if out.requires_grad:
+    if out._node is not None:
+        na = _grad_node(a)
         def _bw(g):
-            _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True)
-        out._backward = _bw
+            _accum(na, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True)
+        out._node._backward = _bw
     return out
 
 
@@ -581,26 +672,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y = xh * gain.data
     y += bias.data
     out = _make(y, (x, gain, bias))
-    if out.requires_grad:
+    if out._node is not None:
+        nx, ng, nbias = _grad_node(x), _grad_node(gain), _grad_node(bias)
+        gd = gain.data
         def _bw(g):
             gxh = g * xh
-            if gain.requires_grad:
-                _accum(gain, _unbroadcast(gxh, gain.data.shape), fresh=True)
-            if bias.requires_grad:
-                _accum(bias, _unbroadcast(g, bias.data.shape), fresh=g.shape != bias.data.shape)
-            if x.requires_grad:
+            if ng is not None:
+                _accum(ng, _unbroadcast(gxh, ng.shape), fresh=True)
+            if nbias is not None:
+                _accum(nbias, _unbroadcast(g, nbias.shape), fresh=g.shape != nbias.shape)
+            if nx is not None:
                 # Row means of gx and gx * xh as dot products with the gain,
                 # without a full-size product.
                 def row_mean(a):
-                    m = np.einsum("...i,...i->...", a, gain.data)[..., None]
+                    m = np.einsum("...i,...i->...", a, gd)[..., None]
                     m *= rn
                     return m
-                gx = g * gain.data
+                gx = g * gd
                 gx -= row_mean(g)
                 gx -= xh * row_mean(gxh)
                 gx *= inv
-                _accum(x, _unbroadcast(gx, x.data.shape), fresh=True)
-        out._backward = _bw
+                _accum(nx, _unbroadcast(gx, nx.shape), fresh=True)
+        out._node._backward = _bw
     return out
 
 

@@ -118,6 +118,8 @@ def evaluate(model, cfg: ModelConfig, data: dict, max_examples: int | None = Non
 
     Each batch's forward records a tape that no backward consumes; it is
     released before the next batch is built, so one tape is alive at a time.
+    That tape holds only the arrays a backward would read (see ``tensor``):
+    the intermediates nothing reads again are freed as the forward goes.
     """
     n = n_examples(cfg, data)
     if max_examples is not None:

@@ -1,14 +1,16 @@
-"""Pinned parameter layout, initial values and tape size of the transformer hosts.
+"""Pinned parameter layout, initial values, tape size and tape bytes of the
+transformer hosts.
 
 Checkpoints store parameters by name, and every initial value comes from one
 seeded numpy Generator in construction order, so a refactor of the host code
 must keep the names, the shapes, the draw order and the recorded op sequence.
 None of these depends on the BLAS build: the init bytes come straight from the
-Generator and the tape size from the op sequence, so the pins hold on any
-machine.
+Generator, and the tape size and the bytes it holds from the op sequence and
+the shapes, so the pins hold on any machine.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,43 @@ PINS = {
 }
 
 
+# (task, host, variant): bytes of numpy buffers still held after one
+# training-mode batch_loss, before its backward, traced by tracemalloc (the
+# tape's captured arrays, the loss, and what the model keeps for its probes).
+# Only numpy's domain is counted: the interpreter's own allocations depend on
+# its free lists, and so on what ran before.  A change that keeps an
+# intermediate alive again raises these; one that frees more lowers them.
+HELD_BYTES = {
+    ('triangles', 'tr', ''): 12747,
+    ('triangles', 'tr_hc', ''): 12747,
+    ('triangles', 'tr_ssw', ''): 17883,
+    ('triangles', 'tr_ssw', 'sw_plus_sa'): 25939,
+    ('triangles', 'tr_ssw', 'no_persistence'): 18075,
+    ('triangles', 'tr_hsw', ''): 18843,
+    ('triangles', 'tr_hsw', 'sw_plus_sa'): 26899,
+    ('triangles', 'tr_hsw', 'no_persistence'): 19035,
+    ('triangles', 'tr_2xsa', ''): 20803,
+    ('soc', 'tr', ''): 21011,
+    ('soc', 'tr_hc', ''): 21011,
+    ('soc', 'tr_ssw', ''): 26211,
+    ('soc', 'tr_ssw', 'sw_plus_sa'): 36163,
+    ('soc', 'tr_ssw', 'no_persistence'): 26403,
+    ('soc', 'tr_hsw', ''): 27363,
+    ('soc', 'tr_hsw', 'sw_plus_sa'): 37315,
+    ('soc', 'tr_hsw', 'no_persistence'): 27555,
+    ('soc', 'tr_2xsa', ''): 30963,
+    ('copy', 'tr', ''): 17268,
+    ('copy', 'tr_hc', ''): 17268,
+    ('copy', 'tr_ssw', ''): 44468,
+    ('copy', 'tr_ssw', 'sw_plus_sa'): 56412,
+    ('copy', 'tr_ssw', 'no_persistence'): 45812,
+    ('copy', 'tr_hsw', ''): 51860,
+    ('copy', 'tr_hsw', 'sw_plus_sa'): 63804,
+    ('copy', 'tr_hsw', 'no_persistence'): 53204,
+    ('copy', 'tr_2xsa', ''): 29212,
+}
+
+
 def pin_config(task, host, variant):
     base = dict(host=host, task=task, n_layers=2, n_h=8, ffn_dim=16, n_heads=2,
                 mem_heads=2, key_dim=4, value_dim=4, n_m=2, image_size=16,
@@ -170,3 +209,21 @@ def test_cases_cover_every_transformer_host_and_ablation():
 @pytest.mark.parametrize("task,host,variant", CASES)
 def test_transformer_host_pinned(task, host, variant):
     assert fingerprint(task, host, variant) == PINS[(task, host, variant)]
+
+
+def held_bytes(cfg):
+    model, batch = build_model(cfg), pin_batch(cfg)
+    tracemalloc.start()
+    try:
+        loss, _ = batch_loss(model, cfg, batch, rng=np.random.default_rng(2))
+        snap = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    numpy_only = snap.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(trace.size for trace in numpy_only.traces)
+
+
+@pytest.mark.parametrize("task,host,variant", CASES)
+def test_tape_holds_what_backward_reads_and_no_more(task, host, variant):
+    held, recorded = held_bytes(pin_config(task, host, variant)), HELD_BYTES[(task, host, variant)]
+    assert held <= 1.05 * recorded, (held, recorded)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,131 @@ def test_backward_through_elementwise_chain_peaks_at_a_few_arrays():
         tracemalloc.stop()
     bound = 5 * g.nbytes
     assert peak < bound, (peak, bound)
+
+
+# ---- what the tape retains ----------------------------------------------------
+
+
+def _interior(rng, shape=(4, 6)):
+    """An op output over a float64 leaf that only the caller holds."""
+    return T.mul(t64(rng.normal(size=shape), requires_grad=True), 1.0)
+
+
+def _captured(out, name):
+    """The value that the backward closure of op output ``out`` captured as
+    ``name``: for arrays the caller never gets a handle on."""
+    fn = out._backward
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def _weighted_sum(out):
+    """A scalar loss over ``out`` whose tape captures only a constant."""
+    return T.tsum(T.mul(out, np.random.default_rng(14).normal(size=out.shape)))
+
+
+# Ops whose gradient formulas do not read their input h (4, 6).
+_DROPS_INPUT = {
+    "add": lambda h: T.add(h, 1.0),
+    "mul-by-constant": lambda h: T.mul(h, 3.0),
+    "dropout": lambda h: T.dropout(h, 0.5, np.random.default_rng(0)),
+    "relu": T.relu,
+    "tanh": T.tanh,
+    "sigmoid": T.sigmoid,
+    "softmax": T.softmax,
+    "softmax-keep": lambda h: T.softmax(h, keep=np.arange(6) % 2),
+    "log_softmax": T.log_softmax,
+    "layer_norm": lambda h: T.layer_norm(h, t64(np.full(6, 1.5), requires_grad=True),
+                                         t64(np.zeros(6), requires_grad=True)),
+    "matmul-by-constant": lambda h: T.matmul(h, t64(np.ones((6, 3)))),
+    "reshape": lambda h: T.reshape(h, (6, 4)),
+    "swapaxes": lambda h: T.swapaxes(h, 0, 1),
+    "concat": lambda h: T.concat([h, h], axis=1),
+    "take": lambda h: h[1:3],
+    "take-advanced": lambda h: h[np.array([0, 2, 0])],
+    "tsum": lambda h: T.tsum(h, axis=1),
+}
+
+
+@pytest.mark.parametrize("op", list(_DROPS_INPUT))
+def test_tape_frees_what_no_gradient_formula_reads(op):
+    # The input's buffer goes with the caller's handles (the output's too,
+    # which a view op shares), and backward still gives the gradient bytes
+    # of a run that held them.
+    grads = []
+    for drop in (False, True):
+        rng = np.random.default_rng(12)
+        w = t64(rng.normal(size=(4, 6)), requires_grad=True)
+        h = T.mul(w, 1.0)
+        held = weakref.ref(h.data)
+        out = _DROPS_INPUT[op](h)
+        loss = _weighted_sum(out)
+        if drop:
+            del h, out
+            assert held() is None
+        loss.backward()
+        grads.append(w.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def _kept_matmul_operands(rng):
+    a, b = _interior(rng, (4, 6)), _interior(rng, (6, 3))
+    return T.matmul(a, b), [a.data, b.data]
+
+
+def _kept_output(op):
+    def case(rng):
+        out = op(_interior(rng))
+        return out, [out.data]
+    return case
+
+
+def _kept_layer_norm_xh(rng):
+    out = T.layer_norm(_interior(rng), t64(np.full(6, 1.5), requires_grad=True),
+                       t64(np.zeros(6), requires_grad=True))
+    return out, [_captured(out, "xh")]
+
+
+def _kept_dropout_mask(rng):
+    out = T.dropout(_interior(rng), 0.5, np.random.default_rng(0))
+    return out, [_captured(out, "bd")]
+
+
+_KEEPS = {
+    "matmul-operands": _kept_matmul_operands,
+    "softmax-output": _kept_output(T.softmax),
+    "tanh-output": _kept_output(T.tanh),
+    "sigmoid-output": _kept_output(T.sigmoid),
+    "layer-norm-xh": _kept_layer_norm_xh,
+    "dropout-mask": _kept_dropout_mask,
+}
+
+
+@pytest.mark.parametrize("case", list(_KEEPS))
+def test_tape_keeps_what_a_gradient_formula_reads_until_backward(case):
+    out, arrays = _KEEPS[case](np.random.default_rng(13))
+    refs = [weakref.ref(a) for a in arrays]
+    loss = _weighted_sum(out)
+    del out, arrays
+    assert all(r() is not None for r in refs)
+    loss.backward()
+    assert all(r() is None for r in refs)   # consumed with the tape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_mask_from_its_output_has_the_input_mask_bytes(dtype):
+    # relu's backward masks with relu(x) > 0, which holds exactly where
+    # x > 0: for negatives, both zeros, NaNs of either sign and infinities.
+    rng = np.random.default_rng(23)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.concatenate([rng.normal(size=64), [-0.0, 0.0, np.nan, -np.nan, -np.inf, np.inf,
+                                              -tiny, tiny]]).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    g[::3] *= -1.0
+    from_input = g * (x > 0)
+    assert (g * (np.maximum(x, 0.0) > 0)).tobytes() == from_input.tobytes()
+    t = Tensor(x, requires_grad=True)
+    T.relu(t).backward(g)
+    assert t.grad.tobytes() == from_input.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

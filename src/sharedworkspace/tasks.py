@@ -86,6 +86,11 @@ def gen_triangles(n: int, image_size: int = 64, seed: int = 0) -> dict:
     negatives are rejection-sampled so their midpoint-distance spread is at
     least twice the equality tolerance — no sample sits inside the
     (tol_eq, 2 tol_eq) dead zone.
+
+    The images hold exactly 0 and 1, so they are ``uint8``: a quarter of the
+    bytes of float32 in memory, on disk and in every batch.  The hosts cast
+    them to their float dtype, which gives the same inputs as float32 images,
+    so a dataset file that holds float32 images trains the same.
     """
     if n < 1:
         raise ConfigError("need n >= 1")
@@ -94,7 +99,7 @@ def gen_triangles(n: int, image_size: int = 64, seed: int = 0) -> dict:
     params = TriangleParams(image_size=image_size)
     tol, sigma, min_sep, margin = params.scaled()
     size = image_size
-    images = np.zeros((n, size, size), dtype=np.float32)
+    images = np.zeros((n, size, size), dtype=np.uint8)
     labels = np.zeros(n, dtype=np.int64)
     midpoints = np.zeros((n, 3, 2), dtype=np.float32)
 
@@ -130,7 +135,7 @@ def gen_triangles(n: int, image_size: int = 64, seed: int = 0) -> dict:
         pts = mids[:, None, :] + rng.normal(0.0, sigma,
                                             size=(3, params.points_per_cluster, 2))
         ij = np.clip(np.rint(pts), 0, size - 1).astype(int).reshape(-1, 2)
-        images[i, ij[:, 1], ij[:, 0]] = 1.0
+        images[i, ij[:, 1], ij[:, 0]] = 1
 
     return {
         "images": images, "labels": labels, "midpoints": midpoints,
@@ -200,7 +205,8 @@ def gen_sort_of_clevr(n: int, seed: int = 0, image_size: int = 75) -> dict:
     Non-relational subtypes: shape of the colored object, horizontal half,
     vertical half.  Relational: shape of nearest, shape of farthest, count of
     same-shape objects.  Object centers are integers with a minimum pairwise
-    separation so shapes never overlap.
+    separation so shapes never overlap.  The images stay float32, unlike the
+    triangles': gray (``SOC_RGB``) holds 0.5, which no 0/1 byte can.
     """
     if n < 1:
         raise ConfigError("need n >= 1")

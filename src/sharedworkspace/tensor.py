@@ -16,9 +16,10 @@ data), whose attributes the tensor's ``grad``, ``requires_grad``,
 ``_backward``, ``_prev`` and ``_owns_grad`` read and write.  A leaf, parameter
 or constant, is its own node.  Consumers' ``_prev`` and closures hold nodes,
 never input tensors, and each closure captures exactly the arrays its formula
-reads: matmul the other operand (only when this side takes a gradient), mul
-the other factor (dropout: its mask), softmax, log-softmax, tanh, sigmoid and
-relu their output, layer norm ``xh``, ``inv`` and the gain; add, reshape,
+reads, at the width its data has: matmul the other operand (only when this
+side takes a gradient), mul the other factor, dropout its bool keep mask,
+softmax, log-softmax, tanh, sigmoid and relu their output (softmax also its
+``keep``, as bool), layer norm ``xh``, ``inv`` and the gain; add, reshape,
 swapaxes, concat, take and tsum only shapes and indices.  Any other buffer,
 such as raw attention scores, pre-bias products or residual sums, is freed
 when the caller drops its tensor.  A new op follows the same rule: its
@@ -604,12 +605,14 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
     ``keep`` is an optional constant 0/1 array broadcastable to ``a``: the
     entries outside it are zeroed after the full softmax, without
     renormalizing, so the kept entries retain their soft scores (top-k
-    competition).  An all-ones ``keep`` gives the bits of no ``keep``.
+    competition).  An all-ones ``keep`` gives the bits of no ``keep``.  The
+    closure keeps it as bool: a product with a bool array has the bytes of
+    the product with the same 0.0/1.0 mask in the float dtype.
     """
     a = _astensor(a)
     y = _softmax_forward(a.data, axis)
     if keep is not None:
-        keep = np.asarray(keep, dtype=y.dtype)
+        keep = np.asarray(keep, dtype=bool)
     out = _make(y if keep is None else y * keep, (a,))
     if out._node is not None:
         na = _grad_node(a)
@@ -705,14 +708,38 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     of an output ``n_rows`` rows long: the mask is drawn for the whole
     output and cut to ``rows``, so the generator ends where the full-width
     draw leaves it and every later mask is unchanged.
+
+    One tape node, whose closure keeps only the bool keep mask (with
+    ``rows``, a copy of the kept rows, so the full draw is freed): one byte
+    per element on the tape.  Forward and backward have the bits of
+    ``mul(x, keep.astype(dtype) / (1 - rate))``.
     """
     if rate <= 0.0 or rng is None:
         return x
     if rows is None:
         keep = rng.random(x.data.shape) >= rate
     else:
-        keep = (rng.random(x.shape[:-2] + (n_rows, x.shape[-1])) >= rate)[..., rows, :]
-    return mul(x, keep.astype(x.data.dtype) / (1.0 - rate))
+        keep = (rng.random(x.shape[:-2] + (n_rows, x.shape[-1])) >= rate)[..., rows, :].copy()
+    # 1 / (1 - rate) rounded as the kept entries of that float mask were.
+    scale = np.ones((), x.data.dtype)
+    scale /= 1.0 - rate
+    out = _make(_masked_scale(x.data, keep, scale), (x,))
+    if out._node is not None:
+        nx = _grad_node(x)
+        def _bw(g):
+            _accum(nx, _masked_scale(g, keep, scale), fresh=True)
+        out._node._backward = _bw
+    return out
+
+
+def _masked_scale(a, keep, scale):
+    """``a * (keep * scale)`` with its bits, but no float mask: ``a * keep``
+    is ``a`` where kept and, elsewhere, the signed zero or NaN that ``a * 0``
+    is, so scaling it after masking rounds as scaling by the mask did."""
+    out = keep.astype(a.dtype)
+    out *= a
+    out *= scale
+    return out
 
 
 # ---- parameters -------------------------------------------------------------

@@ -122,33 +122,33 @@ PINS = {
 # its free lists, and so on what ran before.  A change that keeps an
 # intermediate alive again raises these; one that frees more lowers them.
 HELD_BYTES = {
-    ('triangles', 'tr', ''): 12747,
-    ('triangles', 'tr_hc', ''): 12747,
-    ('triangles', 'tr_ssw', ''): 17883,
-    ('triangles', 'tr_ssw', 'sw_plus_sa'): 25939,
-    ('triangles', 'tr_ssw', 'no_persistence'): 18075,
-    ('triangles', 'tr_hsw', ''): 18843,
-    ('triangles', 'tr_hsw', 'sw_plus_sa'): 26899,
-    ('triangles', 'tr_hsw', 'no_persistence'): 19035,
-    ('triangles', 'tr_2xsa', ''): 20803,
-    ('soc', 'tr', ''): 21011,
-    ('soc', 'tr_hc', ''): 21011,
-    ('soc', 'tr_ssw', ''): 26211,
-    ('soc', 'tr_ssw', 'sw_plus_sa'): 36163,
-    ('soc', 'tr_ssw', 'no_persistence'): 26403,
-    ('soc', 'tr_hsw', ''): 27363,
-    ('soc', 'tr_hsw', 'sw_plus_sa'): 37315,
-    ('soc', 'tr_hsw', 'no_persistence'): 27555,
-    ('soc', 'tr_2xsa', ''): 30963,
-    ('copy', 'tr', ''): 17268,
-    ('copy', 'tr_hc', ''): 17268,
-    ('copy', 'tr_ssw', ''): 44468,
-    ('copy', 'tr_ssw', 'sw_plus_sa'): 56412,
-    ('copy', 'tr_ssw', 'no_persistence'): 45812,
-    ('copy', 'tr_hsw', ''): 51860,
-    ('copy', 'tr_hsw', 'sw_plus_sa'): 63804,
-    ('copy', 'tr_hsw', 'no_persistence'): 53204,
-    ('copy', 'tr_2xsa', ''): 29212,
+    ('triangles', 'tr', ''): 11883,
+    ('triangles', 'tr_hc', ''): 11883,
+    ('triangles', 'tr_ssw', ''): 17019,
+    ('triangles', 'tr_ssw', 'sw_plus_sa'): 24355,
+    ('triangles', 'tr_ssw', 'no_persistence'): 17211,
+    ('triangles', 'tr_hsw', ''): 17619,
+    ('triangles', 'tr_hsw', 'sw_plus_sa'): 24955,
+    ('triangles', 'tr_hsw', 'no_persistence'): 17811,
+    ('triangles', 'tr_2xsa', ''): 19219,
+    ('soc', 'tr', ''): 20003,
+    ('soc', 'tr_hc', ''): 20003,
+    ('soc', 'tr_ssw', ''): 25203,
+    ('soc', 'tr_ssw', 'sw_plus_sa'): 34291,
+    ('soc', 'tr_ssw', 'no_persistence'): 25395,
+    ('soc', 'tr_hsw', ''): 25923,
+    ('soc', 'tr_hsw', 'sw_plus_sa'): 35011,
+    ('soc', 'tr_hsw', 'no_persistence'): 26115,
+    ('soc', 'tr_2xsa', ''): 29091,
+    ('copy', 'tr', ''): 15684,
+    ('copy', 'tr_hc', ''): 15684,
+    ('copy', 'tr_ssw', ''): 42884,
+    ('copy', 'tr_ssw', 'sw_plus_sa'): 53820,
+    ('copy', 'tr_ssw', 'no_persistence'): 44228,
+    ('copy', 'tr_hsw', ''): 47504,
+    ('copy', 'tr_hsw', 'sw_plus_sa'): 58440,
+    ('copy', 'tr_hsw', 'no_persistence'): 48848,
+    ('copy', 'tr_2xsa', ''): 26620,
 }
 
 

@@ -47,6 +47,18 @@ def test_triangles_points_cluster_around_midpoints():
             assert dist <= 5 * sigma + 1.5
 
 
+def test_triangle_images_are_uint8_zeros_and_ones_on_disk_too(tmp_path):
+    d = gen_triangles(20, image_size=32, seed=3)
+    path = tmp_path / "tri.swds"
+    save_dataset(path, d)
+    mapped = load_dataset(path)["images"]
+    assert isinstance(mapped, np.memmap)
+    for images in (d["images"], mapped):
+        assert images.dtype == np.uint8
+        assert set(np.unique(images)) == {0, 1}
+    assert np.asarray(mapped).tobytes() == d["images"].tobytes()
+
+
 def test_triangles_determinism_bytes():
     a = gen_triangles(50, image_size=32, seed=7)
     b = gen_triangles(50, image_size=32, seed=7)

@@ -379,7 +379,16 @@ def _kept_layer_norm_xh(rng):
 
 def _kept_dropout_mask(rng):
     out = T.dropout(_interior(rng), 0.5, np.random.default_rng(0))
-    return out, [_captured(out, "bd")]
+    keep = _captured(out, "keep")
+    assert keep.dtype == bool
+    return out, [keep]
+
+
+def _kept_topk_keep(rng):
+    out = T.softmax(_interior(rng), keep=np.arange(6) % 2 == 1)
+    keep = _captured(out, "keep")
+    assert keep.dtype == bool
+    return out, [keep]
 
 
 _KEEPS = {
@@ -389,6 +398,7 @@ _KEEPS = {
     "sigmoid-output": _kept_output(T.sigmoid),
     "layer-norm-xh": _kept_layer_norm_xh,
     "dropout-mask": _kept_dropout_mask,
+    "topk-keep": _kept_topk_keep,
 }
 
 
@@ -785,6 +795,50 @@ def test_dropout_of_some_rows_draws_the_full_width_mask():
     part = T.dropout(x[:, 1:3], 0.4, rows_rng, slice(1, 3), 5)
     assert part.data.tobytes() == full.data[:, 1:3].tobytes()
     assert rows_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def _special_values(dtype, shape, seed):
+    """Normal draws with +-0, NaN, +-inf, subnormals and the largest finite
+    values of ``dtype`` mixed in."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(dtype)
+    tiny, big = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                         3 * tiny, big, -big], dtype=dtype)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, specials.size, replace=False)] = specials
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [None, slice(1, 3)])
+def test_dropout_has_the_bytes_of_mul_by_its_scale_mask(dtype, rows):
+    # dropout is one op that keeps a bool mask; it must give the forward and
+    # gradient bytes of the mul by the float scale mask it replaced.
+    # At 0.45, 1 / (1 - rate) rounded once to float32 and the float32
+    # quotient 1 / float32(1 - rate) differ in the last bit.
+    rate, n_rows = 0.45, 5
+    shape = (2, n_rows if rows is None else 2, 8)
+    x_data = _special_values(dtype, shape, 30)
+    g = _special_values(dtype, shape, 31)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+
+    x, xr = (Tensor(x_data.copy(), requires_grad=True) for _ in range(2))
+    ref_keep = ref_rng.random(shape[:-2] + (n_rows, shape[-1])) >= rate
+    if rows is not None:
+        ref_keep = ref_keep[..., rows, :]
+    with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, max / (1 - rate)
+        out = T.dropout(x, rate, rng, rows, n_rows)
+        ref = T.mul(xr, ref_keep.astype(dtype) / (1 - rate))
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        keep = _captured(out, "keep")
+        assert keep.dtype == bool and keep.shape == shape
+        assert keep.flags.c_contiguous and keep.base is None   # not a view of the draw
+        out.backward(g)
+        ref.backward(g)
+    assert x.grad.tobytes() == xr.grad.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_dropout_eval_mode_is_identity():

@@ -13,7 +13,9 @@ from sharedworkspace.models import build_model
 from sharedworkspace.optim import NumericError
 from sharedworkspace.serialization import (CheckpointError, load_checkpoint, read_metrics,
                                            save_checkpoint)
-from sharedworkspace.train import (batch_loss, dataset_pair, evaluate, load_model,
+from sharedworkspace.tasks import save_dataset
+from sharedworkspace.train import (_batch_arrays, _dataset_name, batch_loss, dataset,
+                                   dataset_pair, evaluate, generate_dataset, load_model,
                                    n_examples, resolve_task_fields, run_training)
 
 
@@ -68,6 +70,49 @@ def test_dataset_pair_cached_on_disk(tmp_path):
                                   np.asarray(train_b["images"]))
     in_mem, _ = dataset_pair(cfg, data_root=None)
     np.testing.assert_array_equal(in_mem["images"], np.asarray(train_a["images"]))
+
+
+def test_triangle_batches_are_uint8_zeros_and_ones(tmp_path):
+    cfg = resolve_task_fields(small_cfg(train_n=20, test_n=10))
+    for data in (dataset(cfg, "train"), dataset(cfg, "train", tmp_path)):
+        batch = _batch_arrays(cfg, data, np.arange(8))
+        assert batch["images"].dtype == np.uint8
+        assert set(np.unique(batch["images"])) == {0, 1}
+
+
+@pytest.mark.parametrize("host,kw", [("tr_hsw", {"topk": 2}), ("rims_sw", {})])
+def test_uint8_images_give_the_float32_logits_and_gradients(host, kw):
+    # The hosts cast the images to their dtype, so the bytes of a 0/1 uint8
+    # batch and of the same batch in float32 are one input.
+    cfg = resolve_task_fields(small_cfg(host=host, dropout=0.1, train_n=8, **kw))
+    batch = _batch_arrays(cfg, dataset(cfg, "train"), np.arange(8))
+    runs = []
+    for images in (batch["images"], batch["images"].astype(np.float32)):
+        model = build_model(cfg)
+        loss, _ = batch_loss(model, cfg, {**batch, "images": images},
+                             rng=np.random.default_rng(5))
+        logits = model.forward(images).data.tobytes()
+        loss.backward()
+        runs.append((loss.data.tobytes(), logits,
+                     [p.grad.tobytes() for p in model.parameters().values()]))
+    assert runs[0] == runs[1]
+
+
+def test_float32_triangle_file_loads_and_gives_the_same_first_loss(tmp_path):
+    # Dataset files written while the images were float32 keep their dtype
+    # and train on the same inputs, so the cache needs no new version.
+    cfg = resolve_task_fields(small_cfg(dropout=0.1, train_n=40))
+    data = generate_dataset(cfg, cfg.train_n, cfg.seed)
+    save_dataset(tmp_path / _dataset_name(cfg, cfg.train_n, cfg.seed),
+                 {**data, "images": data["images"].astype(np.float32)})
+    old = dataset(cfg, "train", tmp_path)
+    assert old["images"].dtype == np.float32
+    losses = []
+    for d in (data, old):
+        batch = _batch_arrays(cfg, d, np.arange(cfg.batch_size))
+        loss, _ = batch_loss(build_model(cfg), cfg, batch, rng=np.random.default_rng(3))
+        losses.append(loss.data.tobytes())
+    assert losses[0] == losses[1]
 
 
 def test_train_and_test_sets_disjoint_seeds():

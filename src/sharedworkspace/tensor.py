@@ -9,22 +9,23 @@ closure and its inputs as soon as its closure has run, so a second backward
 through the same graph raises ``RuntimeError``.  Leaves (tensors created with
 ``requires_grad=True``) keep their gradients, each in an owned C-order array.
 
-The tape holds only what backward reads.  An op output that records a
-gradient is two objects: the caller's tensor, which holds the data, and a
-``_Node`` (gradient, closure, ``_prev``, ``_owns_grad``, shape and dtype, no
-data), whose attributes the tensor's ``grad``, ``requires_grad``,
-``_backward``, ``_prev`` and ``_owns_grad`` read and write.  A leaf, parameter
-or constant, is its own node.  Consumers' ``_prev`` and closures hold nodes,
-never input tensors, and each closure captures exactly the arrays its formula
-reads, at the width its data has: matmul the other operand (only when this
-side takes a gradient), mul the other factor, dropout its bool keep mask,
-softmax, log-softmax, tanh, sigmoid and relu their output (softmax also its
-``keep``, as bool), layer norm ``xh``, ``inv`` and the gain; add, reshape,
-swapaxes, concat, take and tsum only shapes and indices.  Any other buffer,
-such as raw attention scores, pre-bias products or residual sums, is freed
-when the caller drops its tensor.  A new op follows the same rule: its
-closure names the input nodes from ``_grad_node`` and the arrays it reads,
-and no input tensor.
+The tape holds only what backward reads.  A tensor holds its data, its name
+and ``_node``; every tensor that takes a gradient has a ``_Node`` (gradient,
+closure, ``_prev``, ``_owns_grad``, shape and dtype, no data), and the tape is
+made of these alone.  A parameter's node, built with the tensor, is a leaf;
+an op output that records a gradient gets its node from ``_make``; a
+constant, and any output made under ``no_grad`` or from constants only, has
+none.  A tensor's ``grad`` is its node's and ``requires_grad`` says it has
+one.  Consumers' ``_prev`` and closures hold nodes, never input tensors, and
+each closure captures exactly the arrays its formula reads, at the width its
+data has: matmul the other operand (only when this side takes a gradient),
+mul the other factor, dropout its bool keep mask, softmax, log-softmax, tanh,
+sigmoid and relu their output (softmax also its ``keep``, as bool), layer norm
+``xh``, ``inv`` and the gain; add, reshape, swapaxes, concat, take and tsum
+only shapes and indices.  Any other buffer, such as raw attention scores,
+pre-bias products or residual sums, is freed when the caller drops its
+tensor.  A new op follows the same rule: its closure names the inputs'
+``_node``s and the arrays it reads, and no input tensor.
 
 Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
@@ -105,8 +106,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name", "_owns_grad",
-                 "_node")
+    __slots__ = ("data", "name", "_node")
 
     def __init__(self, data, requires_grad=False, name=None):
         if isinstance(data, Tensor):
@@ -115,16 +115,9 @@ class Tensor:
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._backward = None
-        self._prev = ()
         self.name = name
-        # False while ``grad`` is an array borrowed from another node's
-        # gradient (see ``_accum``); it is then copied before any write.
-        self._owns_grad = True
-        # None: this tensor is its own tape node (a leaf, or no tape).
-        self._node = None
+        # A parameter's node is a leaf of every tape that reads it.
+        self._node = _Node(arr, ()) if requires_grad else None
 
     # ---- basic introspection -------------------------------------------------
 
@@ -144,6 +137,18 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._node.grad = value
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -158,14 +163,19 @@ class Tensor:
         The pass consumes the tape: once a node's closure has run, the node
         drops its gradient, its closure and its inputs, so the memory they
         hold is freed while backward proceeds.  Leaves keep their gradients.
+        A tensor that records no gradient (made under ``no_grad``, or from
+        constants only) raises ``RuntimeError``.
         """
+        root = self._node
+        if root is None:
+            raise RuntimeError("backward() through a tensor that records no gradient "
+                               "(made under no_grad, or from constants only)")
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit gradient needs a scalar loss")
             grad = np.ones_like(self.data)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
-        root = self._node or self
 
         topo, visited = [], set()
         stack = [(root, False)]
@@ -199,9 +209,6 @@ class Tensor:
             node._backward = _consumed
             node._prev = ()
 
-    def zero_grad(self):
-        self.grad = None
-
     # ---- operator sugar ------------------------------------------------------
 
     def __getitem__(self, idx):
@@ -209,43 +216,22 @@ class Tensor:
 
 
 class _Node:
-    """The tape's record of an op output: everything of a tensor except its
-    data.  Consumers' ``_prev`` and closures hold this, not the output."""
+    """The tape's record of a tensor that takes a gradient: everything of it
+    except its data.  A parameter's node is a leaf (no closure, no inputs);
+    an op output's node holds its closure and, in ``_prev``, its inputs'
+    nodes."""
 
-    __slots__ = ("grad", "requires_grad", "_backward", "_prev", "_owns_grad", "shape", "dtype")
+    __slots__ = ("grad", "_backward", "_prev", "_owns_grad", "shape", "dtype")
 
     def __init__(self, data, prev):
         self.grad = None
-        self.requires_grad = True
         self._backward = None
         self._prev = prev
+        # False while ``grad`` is an array borrowed from another node's
+        # gradient (see ``_accum``); it is then copied before any write.
         self._owns_grad = True
         self.shape = data.shape
         self.dtype = data.dtype
-
-
-def _on_node(name):
-    return property(lambda t: getattr(t._node, name),
-                    lambda t, value: setattr(t._node, name, value))
-
-
-class _Output(Tensor):
-    """The caller's handle on an op output that records a gradient: it holds
-    the data, and its graph attributes are those of its node."""
-
-    __slots__ = ()
-    grad = _on_node("grad")
-    requires_grad = _on_node("requires_grad")
-    _backward = _on_node("_backward")
-    _prev = _on_node("_prev")
-    _owns_grad = _on_node("_owns_grad")
-
-    def __init__(self, data, prev):
-        # An op's result is already a float array, or a numpy scalar from a
-        # full reduction.
-        self.data = np.asarray(data)
-        self.name = None
-        self._node = _Node(self.data, prev)
 
 
 def _astensor(x, like=None) -> Tensor:
@@ -255,25 +241,16 @@ def _astensor(x, like=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _grad_node(t: Tensor):
-    """The node that collects ``t``'s gradient, or None when it takes none."""
-    node = t._node or t
-    return node if node.requires_grad else None
-
-
 def _make(data, prev) -> Tensor:
-    """The output of an op on the tensors ``prev``.  It records a gradient
-    when the tape is on and some input takes one; its node's ``_prev`` then
-    holds those inputs' nodes."""
+    """The output of an op on the tensors ``prev``.  It records a gradient,
+    with a node whose ``_prev`` holds the inputs' nodes, when the tape is on
+    and some input has a node; otherwise it has no node."""
+    out = Tensor(data)
     if _grad_enabled:
-        nodes = ()
-        for p in prev:
-            node = p._node or p
-            if node.requires_grad:
-                nodes += (node,)
+        nodes = tuple(p._node for p in prev if p._node is not None)
         if nodes:
-            return _Output(data, nodes)
-    return Tensor(data)
+            out._node = _Node(out.data, nodes)
+    return out
 
 
 def _consumed(g=None):
@@ -281,8 +258,8 @@ def _consumed(g=None):
     raise RuntimeError("backward through a graph that an earlier backward consumed")
 
 
-def _accum(t: Tensor, g, fresh=False):
-    """Add the contribution ``g`` to ``t.grad``.
+def _accum(node: _Node, g, fresh=False):
+    """Add the contribution ``g`` to ``node.grad``.
 
     ``fresh`` says that the caller has just computed ``g`` and nothing else
     references it: an interior node adopts it and adds later contributions
@@ -293,21 +270,19 @@ def _accum(t: Tensor, g, fresh=False):
     so every gradient has the layout, and later reductions the bits, that a
     copy gives.
     """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        if (t._backward is not None and isinstance(g, np.ndarray)
-                and g.dtype == t.dtype and g.flags.c_contiguous):
-            t.grad = g
-            t._owns_grad = fresh
+    if node.grad is None:
+        if (node._backward is not None and isinstance(g, np.ndarray)
+                and g.dtype == node.dtype and g.flags.c_contiguous):
+            node.grad = g
+            node._owns_grad = fresh
         else:
-            t.grad = np.array(g, dtype=t.dtype, order="C")
-            t._owns_grad = True
-    elif t._owns_grad:
-        t.grad += g
+            node.grad = np.array(g, dtype=node.dtype, order="C")
+            node._owns_grad = True
+    elif node._owns_grad:
+        node.grad += g
     else:
-        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
-        t._owns_grad = True
+        node.grad = np.add(node.grad, g, out=np.empty_like(node.grad))
+        node._owns_grad = True
 
 
 def _unbroadcast(g, shape):
@@ -328,7 +303,7 @@ def add(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     out = _make(a.data + b.data, (a, b))
     if out._node is not None:
-        na, nb = _grad_node(a), _grad_node(b)
+        na, nb = a._node, b._node
         def _bw(g):
             # A summed-down gradient is fresh; an unreduced one is ``g`` itself.
             if na is not None:
@@ -343,7 +318,7 @@ def mul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     out = _make(a.data * b.data, (a, b))
     if out._node is not None:
-        na, nb = _grad_node(a), _grad_node(b)
+        na, nb = a._node, b._node
         # Each factor's gradient reads the other factor only.
         ad = a.data if nb is not None else None
         bd = b.data if na is not None else None
@@ -361,7 +336,7 @@ def relu(a) -> Tensor:
     y = np.maximum(a.data, 0.0)
     out = _make(y, (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         # relu(x) > 0 exactly where x > 0 (for +-0 and NaN too), so the mask
         # reads the output.  It is made here, not at forward time: a forward
         # that is never differentiated (evaluation) still records the tape.
@@ -376,7 +351,7 @@ def tanh(a) -> Tensor:
     y = np.tanh(a.data)
     out = _make(y, (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             _accum(na, g * (1.0 - y * y), fresh=True)
         out._node._backward = _bw
@@ -397,7 +372,7 @@ def sigmoid(a) -> Tensor:
     y /= d
     out = _make(y, (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             _accum(na, g * y * (1.0 - y), fresh=True)
         out._node._backward = _bw
@@ -411,7 +386,7 @@ def reshape(a, shape) -> Tensor:
     a = _astensor(a)
     out = _make(a.data.reshape(shape), (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             _accum(na, g.reshape(na.shape))
         out._node._backward = _bw
@@ -422,7 +397,7 @@ def swapaxes(a, ax1, ax2) -> Tensor:
     a = _astensor(a)
     out = _make(np.swapaxes(a.data, ax1, ax2), (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             _accum(na, np.swapaxes(g, ax1, ax2))
         out._node._backward = _bw
@@ -433,7 +408,7 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = [_astensor(t) for t in tensors]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out._node is not None:
-        nodes = [_grad_node(t) for t in tensors]
+        nodes = [t._node for t in tensors]
         offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
         def _bw(g):
             for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
@@ -462,7 +437,7 @@ def take(a, idx) -> Tensor:
     a = _astensor(a)
     out = _make(a.data[idx], (a,))
     if out._node is not None:
-        na, basic = _grad_node(a), _is_basic_index(idx)
+        na, basic = a._node, _is_basic_index(idx)
         def _bw(g):
             if na.grad is None:
                 na.grad = np.zeros(na.shape, na.dtype)
@@ -484,7 +459,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _astensor(a)
     out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -540,7 +515,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
     out = _make(np.matmul(a.data, b.data), (a, b))
     if out._node is not None:
-        na, nb = _grad_node(a), _grad_node(b)
+        na, nb = a._node, b._node
         # 1-D operands take part as a (1, k) row or a (k, 1) column.
         a2 = a.data if a.data.ndim > 1 else a.data[None, :]
         b2 = b.data if b.data.ndim > 1 else b.data[:, None]
@@ -615,7 +590,7 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
         keep = np.asarray(keep, dtype=bool)
     out = _make(y if keep is None else y * keep, (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             if keep is not None:
                 g = g * keep
@@ -633,7 +608,7 @@ def log_softmax(a) -> Tensor:
     y = shifted - lse
     out = _make(y, (a,))
     if out._node is not None:
-        na = _grad_node(a)
+        na = a._node
         def _bw(g):
             _accum(na, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True)
         out._node._backward = _bw
@@ -676,7 +651,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     y += bias.data
     out = _make(y, (x, gain, bias))
     if out._node is not None:
-        nx, ng, nbias = _grad_node(x), _grad_node(gain), _grad_node(bias)
+        nx, ng, nbias = x._node, gain._node, bias._node
         gd = gain.data
         def _bw(g):
             gxh = g * xh
@@ -725,7 +700,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     scale /= 1.0 - rate
     out = _make(_masked_scale(x.data, keep, scale), (x,))
     if out._node is not None:
-        nx = _grad_node(x)
+        nx = x._node
         def _bw(g):
             _accum(nx, _masked_scale(g, keep, scale), fresh=True)
         out._node._backward = _bw
@@ -750,9 +725,10 @@ class Module:
 
     ``parameters()`` finds them rather than keeping a list: it walks the
     instance's attributes in assignment order, recursing into Modules, lists,
-    tuples and dicts, and returns each leaf tensor with ``requires_grad``
-    once, keyed by its name.  Checkpoints and the optimizer key parameters by
-    name, so two different tensors with one name raise ``ValueError``.
+    tuples and dicts, and returns once, keyed by its name, each tensor whose
+    node is a leaf (a node without a closure).  Checkpoints and the optimizer
+    key parameters by name, so two different tensors with one name raise
+    ``ValueError``.
     """
 
     def parameters(self) -> dict[str, Tensor]:
@@ -760,7 +736,7 @@ class Module:
 
         def visit(x):
             if isinstance(x, Tensor):
-                if x.requires_grad and x._backward is None \
+                if x._node is not None and x._node._backward is None \
                         and found.setdefault(x.name, x) is not x:
                     raise ValueError(f"two different parameters are named {x.name!r}")
                 return

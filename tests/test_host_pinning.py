@@ -177,7 +177,7 @@ def pin_batch(cfg, b=3):
 
 
 def tape_size(loss):
-    seen, stack, count = set(), [loss], 0
+    seen, stack, count = set(), [loss._node], 0
     while stack:
         node = stack.pop()
         if id(node) in seen:

@@ -739,15 +739,18 @@ def test_parameters_are_exactly_the_tape_leaves(host, kw):
     model = build_model(cfg)
     batch = toy_batch(cfg)
     loss = T.cross_entropy(model.forward(*batch[:-1]), batch[-1])
-    leaves, seen, stack = set(), set(), [loss]
-    while stack:   # walked before any backward, which would consume the tape
+    # Walked before any backward, which would consume the tape.  Every entry
+    # is a node, never a tensor, and the leaves are the parameters' nodes.
+    leaves, seen, stack = set(), set(), [loss._node]
+    while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node.requires_grad and node._backward is None:
-                leaves.add(id(node))
+        assert isinstance(node, T._Node) and not isinstance(node, T.Tensor)
+        if node not in seen:
+            seen.add(node)
+            if node._backward is None:
+                leaves.add(node)
             stack.extend(node._prev)
-    assert leaves == {id(p) for p in model.parameters().values()}
+    assert leaves == {p._node for p in model.parameters().values()}
 
 
 def test_two_parameters_with_one_name_rejected():

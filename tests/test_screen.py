@@ -1,0 +1,32 @@
+"""Smoke test of tools/screen.py, the in-process parent/change screen."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def screen(parent, change):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "screen.py"), "--parent", str(parent),
+         "--change", str(change), "--workload", "copy_mechanisms", "--steps", "2",
+         "--evals", "1"],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_screen_passes_a_checkout_against_itself():
+    done = screen(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    assert "change faster in" in done.stdout
+
+
+def test_screen_stops_at_a_changed_loss(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "sharedworkspace" / "tensor.py", "a") as fh:
+        fh.write("\nrelu = tanh\n")
+    done = screen(ROOT, tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "step 0: loss bytes differ" in done.stderr

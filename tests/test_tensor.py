@@ -174,15 +174,15 @@ def test_gradients_never_share_memory():
 
     # ``add`` hands one array to both operands; an aliased first gradient
     # would take the second contribution to ``a`` into ``b`` as well.
-    a.zero_grad()
-    b.zero_grad()
+    a.grad = None
+    b.grad = None
     g = rng.normal(size=(2, 3))
     T.add(T.add(a, b), a).backward(g)
     assert not np.shares_memory(a.grad, b.grad)
     np.testing.assert_array_equal(a.grad, 2.0 * g)
     np.testing.assert_array_equal(b.grad, g)
 
-    a.zero_grad()
+    a.grad = None
     c = t64(rng.normal(size=(3, 2)), requires_grad=True)
     T.add(T.swapaxes(T.reshape(a, (3, 2)), 0, 1), T.reshape(c, (2, 3))).backward(g)
     assert not np.shares_memory(a.grad, c.grad)
@@ -225,10 +225,11 @@ def test_backward_consumes_interior_nodes_and_leaves_own_their_gradients():
     w = t64(rng.normal(size=(4, 2)), requires_grad=True)
     h = T.tanh(T.matmul(x, w))
     y = T.add(T.reshape(h, (2, 3)), 1.0)
-    closures = {id(n): n._backward for n in (h, y)}
+    nodes = (h._node, y._node)
+    closures = {id(n): n._backward for n in nodes}
     g = rng.normal(size=(2, 3))
     y.backward(g)
-    for node in (h, y):
+    for node in nodes:
         assert node.grad is None and node._prev == ()
         assert node._backward is not closures[id(node)]
     for leaf in (x, w):
@@ -249,6 +250,22 @@ def test_second_backward_through_consumed_graph_raises():
     with pytest.raises(RuntimeError, match="consumed"):
         T.tsum(T.add(mid, x)).backward()
     np.testing.assert_array_equal(x.grad, first + 3.0)
+
+
+def test_backward_through_a_tensor_without_gradient_raises():
+    # Without a tape there is nothing to differentiate: a silent backward
+    # would leave the parameters' gradients at None, and Adam would then step
+    # on its stale momentum alone.
+    w = t64(np.eye(2), requires_grad=True)
+    with T.no_grad():
+        loss = T.tsum(T.matmul(w, w))
+    with pytest.raises(RuntimeError, match="records no gradient"):
+        loss.backward()
+    assert w.grad is None and loss.grad is None
+    constant = T.tsum(T.mul(t64([1.0, 2.0]), 3.0))
+    with pytest.raises(RuntimeError, match="records no gradient"):
+        constant.backward()
+    assert constant.grad is None
 
 
 @pytest.mark.parametrize("second", ["take", "mul"])
@@ -306,7 +323,7 @@ def _interior(rng, shape=(4, 6)):
 def _captured(out, name):
     """The value that the backward closure of op output ``out`` captured as
     ``name``: for arrays the caller never gets a handle on."""
-    fn = out._backward
+    fn = out._node._backward
     return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
 
@@ -588,12 +605,11 @@ def test_gradcheck_detects_corrupted_backward():
     # Negative control: an op with a deliberately wrong backward rule.
     x = t64([0.5, -1.5, 2.0], requires_grad=True, name="x")
     def bad_square(t):
-        out = T.Tensor(t.data * t.data)
-        out.requires_grad = True
-        out._prev = (t,)
+        out = T._make(t.data * t.data, (t,))
+        nt = t._node
         def _bw(g):
-            T._accum(t, g * 3.0 * t.data)  # wrong: should be 2x
-        out._backward = _bw
+            T._accum(nt, g * 3.0 * t.data)  # wrong: should be 2x
+        out._node._backward = _bw
         return out
     def f(p):
         return T.tsum(bad_square(p["x"]))
@@ -621,7 +637,8 @@ def _power(a, p):
     """``a ** p`` as a tape node, for the composite reference below."""
     out = T._make(a.data ** p, (a,))
     if out.requires_grad:
-        out._backward = lambda g: T._accum(a, g * p * a.data ** (p - 1.0), fresh=True)
+        na = a._node
+        out._node._backward = lambda g: T._accum(na, g * p * a.data ** (p - 1.0), fresh=True)
     return out
 
 
@@ -644,7 +661,7 @@ def test_layer_norm_is_one_node_with_composite_forward_bits(x_shape, g_shape):
     for dt in (np.float32, np.float64):
         args = [Tensor(a.astype(dt), requires_grad=True) for a in (x, g, b)]
         fused, composed = T.layer_norm(*args), composite_layer_norm(*args)
-        assert fused.dtype == dt and fused._prev == tuple(args)
+        assert fused.dtype == dt and fused._node._prev == tuple(a._node for a in args)
         assert fused.data.tobytes() == composed.data.tobytes()
     # float64 gradients of one upstream gradient through both versions.
     up = rng.normal(size=x_shape)
@@ -662,9 +679,9 @@ def test_layer_norm_without_tape_records_nothing():
     g, b = t64(np.ones(3), requires_grad=True), t64(np.zeros(3), requires_grad=True)
     with T.no_grad():
         y = T.layer_norm(x, g, b)
-    assert not y.requires_grad and y._backward is None and y._prev == ()
+    assert y._node is None
     y = T.layer_norm(Tensor(x.data), Tensor(g.data), Tensor(b.data))
-    assert not y.requires_grad and y._backward is None
+    assert y._node is None
 
 
 def test_cross_entropy_matches_manual_oracle():
@@ -783,7 +800,7 @@ def test_take_backward_has_the_scatter_bytes(idx, held):
     expected = prior.copy() if held else np.zeros_like(a.data)
     np.add.at(expected, idx, g)
     if held:
-        a.grad, a._owns_grad = prior.copy(), True
+        a.grad = prior.copy()
     out.backward(g)
     assert a.grad.tobytes() == expected.tobytes()
 

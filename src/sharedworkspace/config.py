@@ -21,8 +21,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from . import tasks
 from .errors import ConfigError
 from .workspace import GATE_STYLES
@@ -200,4 +198,6 @@ def from_dict(data, overrides: dict | None = None) -> ModelConfig:
 
 def from_yaml(path, overrides: dict | None = None) -> ModelConfig:
     """Load a config from a YAML file, applying overrides last."""
+    # Imported here: training and the benchmark workers never read YAML.
+    import yaml
     return from_dict(yaml.safe_load(Path(path).read_text()), overrides)

@@ -38,11 +38,14 @@ def grad_check(f, params: dict[str, Tensor], eps: float = 1e-5, tol: float = 1e-
     """Compare autodiff gradients of scalar-valued ``f(params)`` against
     central finite differences (f(th+eps e) - f(th-eps e)) / 2 eps.
 
-    Parameters must be float64 for the default tolerance to be meaningful.
+    Parameters must take a gradient and be float64, for the default
+    tolerance to be meaningful; either failing raises ``ValueError``.
     For large parameters a random subset of entries, drawn from seed 0, is
     probed (``max_entries_per_param``); pass None to probe every entry.
     """
     for name, p in params.items():
+        if not p.requires_grad:
+            raise ValueError(f"grad_check needs parameters that take a gradient; '{name}' does not")
         if p.data.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters, got {p.data.dtype} for '{name}'")
 

@@ -18,11 +18,15 @@ class Adam:
 
     Moment buffers shape-match their parameters.  A NaN in any gradient
     aborts the step before touching any parameter and names the offender.
+    Every parameter must take a gradient; a constant raises ``ValueError``.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict[str, Tensor], lr=1e-4):
+        for name, p in params.items():
+            if not p.requires_grad:
+                raise ValueError(f"parameter '{name}' takes no gradient, so Adam cannot train it")
         self.params = params
         self.lr = lr
         self.step_count = 0

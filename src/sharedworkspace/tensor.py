@@ -27,6 +27,18 @@ pre-bias products or residual sums, is freed when the caller drops its
 tensor.  A new op follows the same rule: its closure names the inputs'
 ``_node``s and the arrays it reads, and no input tensor.
 
+Rebuild, don't hold.  Two outputs are cheap, exact functions of arrays their
+own closures keep: layer norm's ``xh * gain + bias`` and top-k softmax's
+``y * keep``.  Their op computes the output through that function and
+records it as the node's ``_rebuild``; reshape, swapaxes and a basic-index
+take pass it on as the same view.  When mul or matmul reads such an input,
+its closure keeps the input's node instead of the array (``_held``), and
+backward reads the data through the node's ``_memo`` (``_read``): the first
+reader rebuilds it, and the memo and the rebuild go with the producer's
+closure, so an output is rebuilt at most once per backward and its array
+is freed with the caller's handle.  The rebuild reads only what the closure
+already keeps, plus the bias parameter's array.
+
 Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
 broadcasts over batch axes is reduced inside one GEMM, with those axes folded
@@ -147,6 +159,9 @@ class Tensor:
 
     @grad.setter
     def grad(self, value):
+        if self._node is None:
+            raise RuntimeError(f"cannot set the gradient of {self.name or 'a tensor'!r}: it "
+                               "takes no gradient (a constant, or made under no_grad)")
         self._node.grad = value
 
     def __repr__(self):
@@ -208,6 +223,7 @@ class Tensor:
             node.grad = None
             node._backward = _consumed
             node._prev = ()
+            node._rebuild = node._memo = None
 
     # ---- operator sugar ------------------------------------------------------
 
@@ -221,12 +237,18 @@ class _Node:
     an op output's node holds its closure and, in ``_prev``, its inputs'
     nodes."""
 
-    __slots__ = ("grad", "_backward", "_prev", "_owns_grad", "shape", "dtype")
+    __slots__ = ("grad", "_backward", "_prev", "_owns_grad", "shape", "dtype",
+                 "_rebuild", "_memo")
 
     def __init__(self, data, prev):
         self.grad = None
         self._backward = None
         self._prev = prev
+        # An output that its producer can compute again from what the
+        # producer's closure keeps has ``_rebuild``, and consumers read it
+        # through ``_memo`` (see ``_held``).
+        self._rebuild = None
+        self._memo = None
         # False while ``grad`` is an array borrowed from another node's
         # gradient (see ``_accum``); it is then copied before any write.
         self._owns_grad = True
@@ -256,6 +278,31 @@ def _make(data, prev) -> Tensor:
 def _consumed(g=None):
     """Stands in for the closure of a node whose backward has already run."""
     raise RuntimeError("backward through a graph that an earlier backward consumed")
+
+
+def _held(t: Tensor):
+    """What a consumer's closure keeps to read ``t``'s data in backward: the
+    node of an output that its producer rebuilds, else the array itself."""
+    n = t._node
+    return n if n is not None and n._rebuild is not None else t.data
+
+
+def _read(held):
+    """The array that ``held`` (from ``_held``) stands for.  The first read
+    of a node in a backward rebuilds its data into ``_memo``; later reads
+    take the memo, which the backward drops with the node's closure."""
+    if type(held) is not _Node:
+        return held
+    if held._memo is None:
+        held._memo = held._rebuild()
+    return held._memo
+
+
+def _pass_view(out: Tensor, na: _Node, view):
+    """Make ``out``, the view ``view(data)`` of an input with node ``na``,
+    rebuildable as the same view of the input's rebuild, when it has one."""
+    if out._node is not None and na._rebuild is not None:
+        out._node._rebuild = lambda: view(_read(na))
 
 
 def _accum(node: _Node, g, fresh=False):
@@ -320,13 +367,13 @@ def mul(a, b) -> Tensor:
     if out._node is not None:
         na, nb = a._node, b._node
         # Each factor's gradient reads the other factor only.
-        ad = a.data if nb is not None else None
-        bd = b.data if na is not None else None
+        ad = _held(a) if nb is not None else None
+        bd = _held(b) if na is not None else None
         def _bw(g):
             if na is not None:
-                _accum(na, _unbroadcast(g * bd, na.shape), fresh=True)
+                _accum(na, _unbroadcast(g * _read(bd), na.shape), fresh=True)
             if nb is not None:
-                _accum(nb, _unbroadcast(g * ad, nb.shape), fresh=True)
+                _accum(nb, _unbroadcast(g * _read(ad), nb.shape), fresh=True)
         out._node._backward = _bw
     return out
 
@@ -390,6 +437,7 @@ def reshape(a, shape) -> Tensor:
         def _bw(g):
             _accum(na, g.reshape(na.shape))
         out._node._backward = _bw
+        _pass_view(out, na, lambda d: d.reshape(shape))
     return out
 
 
@@ -401,6 +449,7 @@ def swapaxes(a, ax1, ax2) -> Tensor:
         def _bw(g):
             _accum(na, np.swapaxes(g, ax1, ax2))
         out._node._backward = _bw
+        _pass_view(out, na, lambda d: np.swapaxes(d, ax1, ax2))
     return out
 
 
@@ -449,6 +498,8 @@ def take(a, idx) -> Tensor:
             else:
                 np.add.at(na.grad, idx, g)
         out._node._backward = _bw
+        if basic:
+            _pass_view(out, na, lambda d: d[idx])
     return out
 
 
@@ -517,19 +568,22 @@ def matmul(a, b) -> Tensor:
     if out._node is not None:
         na, nb = a._node, b._node
         # 1-D operands take part as a (1, k) row or a (k, 1) column.
-        a2 = a.data if a.data.ndim > 1 else a.data[None, :]
-        b2 = b.data if b.data.ndim > 1 else b.data[:, None]
-        g_shape = np.broadcast_shapes(a2.shape[:-2], b2.shape[:-2]) + (a2.shape[-2], b2.shape[-1])
-        a2_shape, b2_shape = a2.shape, b2.shape
+        a2_shape = a.data.shape if a.data.ndim > 1 else (1,) + a.data.shape
+        b2_shape = b.data.shape if b.data.ndim > 1 else b.data.shape + (1,)
+        g_shape = np.broadcast_shapes(a2_shape[:-2], b2_shape[:-2]) + (a2_shape[-2], b2_shape[-1])
         # Each operand's gradient reads the other operand only.
-        a2 = a2 if nb is not None else None
-        b2 = b2 if na is not None else None
+        ha = _held(a) if nb is not None else None
+        hb = _held(b) if na is not None else None
         def _bw(g):
             g = g.reshape(g_shape)
             if na is not None:
+                b2 = _read(hb)
+                b2 = b2 if b2.ndim > 1 else b2[:, None]
                 _accum(na, _matmul_sum(g, _transposed(b2), a2_shape).reshape(na.shape),
                        fresh=True)
             if nb is not None:
+                a2 = _read(ha)
+                a2 = a2 if a2.ndim > 1 else a2[None, :]
                 _accum(nb, _matmul_sum(_transposed(a2), g, b2_shape).reshape(nb.shape),
                        fresh=True)
         out._node._backward = _bw
@@ -582,15 +636,20 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
     renormalizing, so the kept entries retain their soft scores (top-k
     competition).  An all-ones ``keep`` gives the bits of no ``keep``.  The
     closure keeps it as bool: a product with a bool array has the bytes of
-    the product with the same 0.0/1.0 mask in the float dtype.
+    the product with the same 0.0/1.0 mask in the float dtype.  With
+    ``keep`` the output is ``y * keep`` of two arrays the closure keeps, so
+    consumers rebuild it rather than hold it.
     """
     a = _astensor(a)
     y = _softmax_forward(a.data, axis)
+    rebuild = None
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-    out = _make(y if keep is None else y * keep, (a,))
+        rebuild = lambda: y * keep   # noqa: E731
+    out = _make(y if keep is None else rebuild(), (a,))
     if out._node is not None:
         na = a._node
+        out._node._rebuild = rebuild
         def _bw(g):
             if keep is not None:
                 g = g * keep
@@ -639,6 +698,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     that order, so its bits equal those of the composed ops.  The backward
     is the analytic one (Ba et al. 2016): with ``xh`` the normalized input
     and ``gx = g * gain``, ``dx = inv * (gx - mean(gx) - xh * mean(gx * xh))``.
+    The output ``xh * gain + bias`` is computed by the node's rebuild, so
+    consumers that read it in backward compute it again instead of holding it.
     """
     x, gain, bias = _astensor(x), _astensor(gain, like=x), _astensor(bias, like=x)
     dt = x.data.dtype
@@ -647,12 +708,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xh * xh).sum(axis=-1, keepdims=True) * rn
     inv = (var + np.asarray(1e-5, dtype=dt)) ** -0.5
     xh *= inv
-    y = xh * gain.data
-    y += bias.data
-    out = _make(y, (x, gain, bias))
+    gd, bd = gain.data, bias.data
+
+    def rebuild():
+        y = xh * gd
+        y += bd
+        return y
+    out = _make(rebuild(), (x, gain, bias))
     if out._node is not None:
         nx, ng, nbias = x._node, gain._node, bias._node
-        gd = gain.data
+        out._node._rebuild = rebuild
         def _bw(g):
             gxh = g * xh
             if ng is not None:
@@ -687,14 +752,15 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     One tape node, whose closure keeps only the bool keep mask (with
     ``rows``, a copy of the kept rows, so the full draw is freed): one byte
     per element on the tape.  Forward and backward have the bits of
-    ``mul(x, keep.astype(dtype) / (1 - rate))``.
+    ``mul(x, keep.astype(dtype) / (1 - rate))``, and the mask is that of
+    ``rng.random(shape) >= rate``.
     """
     if rate <= 0.0 or rng is None:
         return x
     if rows is None:
-        keep = rng.random(x.data.shape) >= rate
+        keep = _keep_mask(rng, x.data.shape, rate)
     else:
-        keep = (rng.random(x.shape[:-2] + (n_rows, x.shape[-1])) >= rate)[..., rows, :].copy()
+        keep = _keep_mask(rng, x.shape[:-2] + (n_rows, x.shape[-1]), rate)[..., rows, :].copy()
     # 1 / (1 - rate) rounded as the kept entries of that float mask were.
     scale = np.ones((), x.data.dtype)
     scale /= 1.0 - rate
@@ -705,6 +771,25 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
             _accum(nx, _masked_scale(g, keep, scale), fresh=True)
         out._node._backward = _bw
     return out
+
+
+# Uniforms a dropout mask draws at a time.  One float64 draw of a whole
+# (64, 65, 64) mask is 2 MiB, and the forward's memory peak sits at a dropout.
+_DRAW_CHUNK = 1 << 15
+
+
+def _keep_mask(rng, shape, rate):
+    """``rng.random(shape) >= rate``, drawn into the bool mask _DRAW_CHUNK
+    uniforms at a time: the same stream, so the same mask and the same
+    generator state after it."""
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    draw = np.empty(min(flat.size, _DRAW_CHUNK))
+    for lo in range(0, flat.size, _DRAW_CHUNK):
+        u = draw[:flat.size - lo]
+        rng.random(out=u)
+        np.greater_equal(u, rate, out=flat[lo:lo + u.size])
+    return keep
 
 
 def _masked_scale(a, keep, scale):

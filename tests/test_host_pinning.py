@@ -122,33 +122,33 @@ PINS = {
 # its free lists, and so on what ran before.  A change that keeps an
 # intermediate alive again raises these; one that frees more lowers them.
 HELD_BYTES = {
-    ('triangles', 'tr', ''): 11883,
-    ('triangles', 'tr_hc', ''): 11883,
-    ('triangles', 'tr_ssw', ''): 17019,
-    ('triangles', 'tr_ssw', 'sw_plus_sa'): 24355,
-    ('triangles', 'tr_ssw', 'no_persistence'): 17211,
-    ('triangles', 'tr_hsw', ''): 17619,
-    ('triangles', 'tr_hsw', 'sw_plus_sa'): 24955,
-    ('triangles', 'tr_hsw', 'no_persistence'): 17811,
-    ('triangles', 'tr_2xsa', ''): 19219,
-    ('soc', 'tr', ''): 20003,
-    ('soc', 'tr_hc', ''): 20003,
-    ('soc', 'tr_ssw', ''): 25203,
-    ('soc', 'tr_ssw', 'sw_plus_sa'): 34291,
-    ('soc', 'tr_ssw', 'no_persistence'): 25395,
-    ('soc', 'tr_hsw', ''): 25923,
-    ('soc', 'tr_hsw', 'sw_plus_sa'): 35011,
-    ('soc', 'tr_hsw', 'no_persistence'): 26115,
-    ('soc', 'tr_2xsa', ''): 29091,
-    ('copy', 'tr', ''): 15684,
-    ('copy', 'tr_hc', ''): 15684,
-    ('copy', 'tr_ssw', ''): 42884,
-    ('copy', 'tr_ssw', 'sw_plus_sa'): 53820,
-    ('copy', 'tr_ssw', 'no_persistence'): 44228,
-    ('copy', 'tr_hsw', ''): 47504,
-    ('copy', 'tr_hsw', 'sw_plus_sa'): 58440,
-    ('copy', 'tr_hsw', 'no_persistence'): 48848,
-    ('copy', 'tr_2xsa', ''): 26620,
+    ('triangles', 'tr', ''): 10267,
+    ('triangles', 'tr_hc', ''): 10267,
+    ('triangles', 'tr_ssw', ''): 15403,
+    ('triangles', 'tr_ssw', 'sw_plus_sa'): 21787,
+    ('triangles', 'tr_ssw', 'no_persistence'): 15595,
+    ('triangles', 'tr_hsw', ''): 15523,
+    ('triangles', 'tr_hsw', 'sw_plus_sa'): 21907,
+    ('triangles', 'tr_hsw', 'no_persistence'): 15715,
+    ('triangles', 'tr_2xsa', ''): 16651,
+    ('soc', 'tr', ''): 18099,
+    ('soc', 'tr_hc', ''): 18099,
+    ('soc', 'tr_ssw', ''): 23299,
+    ('soc', 'tr_ssw', 'sw_plus_sa'): 31243,
+    ('soc', 'tr_ssw', 'no_persistence'): 23491,
+    ('soc', 'tr_hsw', ''): 23443,
+    ('soc', 'tr_hsw', 'sw_plus_sa'): 31387,
+    ('soc', 'tr_hsw', 'no_persistence'): 23635,
+    ('soc', 'tr_2xsa', ''): 26043,
+    ('copy', 'tr', ''): 12916,
+    ('copy', 'tr_hc', ''): 12916,
+    ('copy', 'tr_ssw', ''): 40116,
+    ('copy', 'tr_ssw', 'sw_plus_sa'): 49716,
+    ('copy', 'tr_ssw', 'no_persistence'): 41460,
+    ('copy', 'tr_hsw', ''): 41040,
+    ('copy', 'tr_hsw', 'sw_plus_sa'): 50640,
+    ('copy', 'tr_hsw', 'no_persistence'): 42384,
+    ('copy', 'tr_2xsa', ''): 22516,
 }
 
 

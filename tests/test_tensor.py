@@ -430,6 +430,131 @@ def test_tape_keeps_what_a_gradient_formula_reads_until_backward(case):
     assert all(r() is None for r in refs)   # consumed with the tape
 
 
+# ---- outputs rebuilt in backward ------------------------------------------------
+
+
+def _ln_params(rng, n, dtype):
+    gain = Tensor((rng.normal(size=n) + 1.0).astype(dtype), requires_grad=True)
+    bias = Tensor(rng.normal(size=n).astype(dtype), requires_grad=True)
+    return gain, bias
+
+
+# Ops whose output is a cheap function of what their closure keeps, on an
+# input (4, 6) that takes a gradient.
+_REBUILT = {
+    "layer_norm": lambda h: T.layer_norm(h, *_ln_params(np.random.default_rng(15), 6, h.dtype)),
+    "softmax-keep": lambda h: T.softmax(h, keep=np.arange(6) % 3 != 1),
+}
+_VIEWS = {
+    "": lambda t: t,
+    "reshape": lambda t: T.reshape(t, (3, 8)),
+    "swapaxes": lambda t: T.swapaxes(t, 0, 1),
+    "take": lambda t: t[1:3, ::2],
+}
+
+
+@pytest.mark.parametrize("view", list(_VIEWS))
+@pytest.mark.parametrize("op", list(_REBUILT))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_output_has_the_forward_bytes(op, view, dtype):
+    # NaN, +-inf, -0 and subnormals in the input.
+    h = Tensor(_special_values(dtype, (4, 6), 40), requires_grad=True)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = _VIEWS[view](_REBUILT[op](h))
+        rebuilt = out._node._rebuild()
+    assert rebuilt is not out.data
+    assert rebuilt.dtype == out.data.dtype and rebuilt.shape == out.data.shape
+    assert rebuilt.strides == out.data.strides
+    assert rebuilt.tobytes() == out.data.tobytes()
+
+
+def test_layer_norm_rebuild_keeps_signed_zeros_and_specials():
+    # A constant row normalizes to +0, and +0 * -0 + -0 is -0; NaN and inf
+    # rows are NaN.
+    for dt in (np.float32, np.float64):
+        x = Tensor(np.array([[1.0, 1.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 1.0]], dt),
+                   requires_grad=True)
+        gain = Tensor(np.array([-0.0, 2.0, np.inf], dt), requires_grad=True)
+        bias = Tensor(np.array([-0.0, -0.0, 1.0], dt), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = T.layer_norm(x, gain, bias)
+            rebuilt = out._node._rebuild()
+        assert np.signbit(out.data[0, 0]) and np.isnan(out.data[1:]).all()
+        assert rebuilt.tobytes() == out.data.tobytes()
+
+
+def test_views_of_other_outputs_and_advanced_take_are_not_rebuilt():
+    h = _interior(np.random.default_rng(16))
+    ln = _REBUILT["layer_norm"](h)
+    assert T.mul(h, 2.0)._node._rebuild is None
+    assert T.softmax(h)._node._rebuild is None   # its closure holds the output itself
+    assert T.reshape(T.mul(h, 2.0), (24,))._node._rebuild is None
+    assert ln[np.array([0, 0])]._node._rebuild is None
+    assert T.concat([ln, ln], axis=0)._node._rebuild is None
+    with T.no_grad():
+        assert T.layer_norm(h, *_ln_params(np.random.default_rng(15), 6, h.dtype))._node is None
+
+
+# A consumer that reads a rebuilt output in backward, as (producer, view,
+# consumer); the consumer's other operand takes a gradient.
+_READERS = {
+    "layer_norm-matmul": ("layer_norm", "", lambda o, w: T.matmul(o, w[:6, :3])),
+    "layer_norm-take-matmul": ("layer_norm", "take", lambda o, w: T.matmul(o, w[:3, :2])),
+    "layer_norm-reshape-matmul-right": ("layer_norm", "reshape",
+                                        lambda o, w: T.matmul(w[:2, :3], o)),
+    "layer_norm-mul": ("layer_norm", "", lambda o, w: T.mul(o, w[:4, :6])),
+    "softmax-keep-matmul": ("softmax-keep", "", lambda o, w: T.matmul(o, w[:6, :3])),
+    "softmax-keep-swapaxes-mul": ("softmax-keep", "swapaxes", lambda o, w: T.mul(w[:6, :4], o)),
+}
+
+
+@pytest.mark.parametrize("case", list(_READERS))
+def test_a_reader_of_a_rebuilt_output_does_not_keep_it_alive(case):
+    # The reader keeps the output's node, not its array, so the output goes
+    # with the caller's handle.  Backward gives the bytes of a run whose
+    # reader held a copy (the output times 1.0, which nothing rebuilds).
+    op, view, reader = _READERS[case]
+    grads = []
+    for rebuilt in (True, False):
+        rng = np.random.default_rng(17)
+        h = t64(rng.normal(size=(4, 6)), requires_grad=True)
+        w = t64(rng.normal(size=(6, 6)), requires_grad=True)
+        out = _REBUILT[op](T.mul(h, 1.0))
+        if not rebuilt:
+            out = T.mul(out, 1.0)
+        out = _VIEWS[view](out)
+        held = weakref.ref(out.data.base if out.data.base is not None else out.data)
+        loss = _weighted_sum(reader(out, w))
+        del out
+        assert (held() is None) == rebuilt
+        loss.backward()
+        grads.append((h.grad.tobytes(), w.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_a_rebuild_runs_once_per_backward_and_goes_with_its_producer():
+    rng = np.random.default_rng(18)
+    h = t64(rng.normal(size=(4, 6)), requires_grad=True)
+    ws = [t64(rng.normal(size=shape), requires_grad=True) for shape in ((6, 3), (6, 3), (2, 6))]
+    ln = _REBUILT["layer_norm"](T.mul(h, 1.0))
+    node, rebuild, built = ln._node, ln._node._rebuild, []
+
+    def counted():
+        data = rebuild()
+        built.append(weakref.ref(data))
+        return data
+    node._rebuild = counted
+    # Three readers, one of them through a view.
+    loss = T.add(T.add(_weighted_sum(T.matmul(ln, ws[0])), _weighted_sum(T.matmul(ln, ws[1]))),
+                 _weighted_sum(T.mul(ln[1:3], ws[2])))
+    del ln
+    assert not built   # nothing is rebuilt before backward
+    loss.backward()
+    assert len(built) == 1
+    assert built[0]() is None
+    assert node._rebuild is None and node._memo is None
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_relu_mask_from_its_output_has_the_input_mask_bytes(dtype):
     # relu's backward masks with relu(x) > 0, which holds exactly where
@@ -589,6 +714,12 @@ def test_gradcheck_rejects_float32():
     x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(ValueError, match="float64"):
         grad_check(lambda p: T.tsum(p["x"]), {"x": x})
+
+
+def test_gradcheck_rejects_a_constant_naming_it():
+    x, c = t64([1.0, 2.0], requires_grad=True), t64([3.0])
+    with pytest.raises(ValueError, match="'c'"):
+        grad_check(lambda p: T.tsum(T.mul(p["x"], p["c"])), {"x": x, "c": c})
 
 
 def test_gradcheck_detects_nondeterminism():
@@ -762,6 +893,23 @@ def test_adam_nan_grad_aborts_naming_param():
     np.testing.assert_array_equal(p.data, before)
 
 
+def test_adam_rejects_a_constant_naming_it():
+    p = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    with pytest.raises(ValueError, match="'frozen'"):
+        Adam({"p": p, "frozen": Tensor(np.zeros(2, dtype=np.float32))})
+
+
+def test_setting_the_gradient_of_a_constant_says_why():
+    c = Tensor(np.zeros(2), name="c")
+    with pytest.raises(RuntimeError, match="'c'.*takes no gradient"):
+        c.grad = np.ones(2)
+    with T.no_grad():
+        y = T.mul(t64([1.0], requires_grad=True), 2.0)
+    with pytest.raises(RuntimeError, match="takes no gradient"):
+        y.grad = None
+    assert c.grad is None and y.grad is None
+
+
 def test_cosine_lr_endpoints():
     assert cosine_lr(1e-3, 0, 100) == pytest.approx(1e-3)
     assert cosine_lr(1e-3, 99, 100) == pytest.approx(0.0, abs=1e-12)
@@ -855,6 +1003,23 @@ def test_dropout_has_the_bytes_of_mul_by_its_scale_mask(dtype, rows):
         out.backward(g)
         ref.backward(g)
     assert x.grad.tobytes() == xr.grad.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [None, slice(3, 150)])
+def test_dropout_mask_drawn_in_chunks_is_the_whole_draw(rows):
+    # 2 x 200 x 200 uniforms span two chunks and part of a third.
+    rate, n_rows, shape = 0.3, 200, (2, 200, 200)
+    assert np.prod(shape) > 2 * T._DRAW_CHUNK
+    x = Tensor(np.ones(shape, np.float32), requires_grad=True)
+    if rows is not None:
+        x = x[:, rows]
+    rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+    out = T.dropout(x, rate, rng, rows, n_rows)
+    ref = ref_rng.random(shape) >= rate
+    if rows is not None:
+        ref = ref[..., rows, :]
+    assert (_captured(out, "keep") == ref).all()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

@@ -1,11 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sharedworkspace
 from sharedworkspace import tensor as T
 from sharedworkspace.config import ModelConfig, from_dict
 from sharedworkspace.errors import ConfigError
@@ -55,6 +60,18 @@ def test_host_task_bindings_enforced():
     with pytest.raises(ConfigError):
         resolve_task_fields(small_cfg(host="tims_sw", task="triangles",
                                       n_h=16, n_s=4))
+
+
+def test_importing_train_leaves_yaml_unloaded():
+    # Training and the benchmark workers never read a YAML file; only
+    # config.from_yaml and the CLI import the parser.
+    src = str(Path(sharedworkspace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, sharedworkspace.train; print('yaml' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 # ---- datasets ----------------------------------------------------------------

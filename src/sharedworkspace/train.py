@@ -162,19 +162,24 @@ def _checkpoint_tensors(params: dict, opt: Adam) -> dict:
 
 def _restore(params: dict, opt: Adam | None, tensors: dict) -> None:
     """Copy checkpoint tensors into the parameters and, given ``opt``, the
-    Adam state.  A missing tensor or one of the wrong shape raises
-    CheckpointError before anything is written."""
-    expected = {name: p.data.shape for name, p in params.items()}
+    Adam state.  A missing tensor, one of the wrong shape, or one whose dtype
+    is not a real float (an integer for ``adam.step``) raises CheckpointError
+    before anything is written."""
+    expected = {name: (p.data.shape, "f") for name, p in params.items()}
     if opt is not None:
         for name, p in params.items():
-            expected[f"adam.m/{name}"] = expected[f"adam.v/{name}"] = p.data.shape
-        expected["adam.step"] = (1,)   # saved 1-d by save_checkpoint
-    for name, shape in expected.items():
+            expected[f"adam.m/{name}"] = expected[f"adam.v/{name}"] = (p.data.shape, "f")
+        expected["adam.step"] = ((1,), "iu")   # saved 1-d by save_checkpoint
+    for name, (shape, kinds) in expected.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint lacks tensor '{name}'")
-        got = np.shape(tensors[name])
-        if got != shape:
-            raise CheckpointError(f"checkpoint tensor '{name}' has shape {got}, expected {shape}")
+        arr = np.asarray(tensors[name])
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"checkpoint tensor '{name}' has shape {arr.shape}, expected {shape}")
+        if arr.dtype.kind not in kinds:
+            raise CheckpointError(f"checkpoint tensor '{name}' has dtype {arr.dtype}, expected "
+                                  + ("an integer" if kinds == "iu" else "a real float"))
     for name, p in params.items():
         p.data[...] = tensors[name]
     if opt is not None:

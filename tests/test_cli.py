@@ -90,6 +90,25 @@ def test_resume_from_checkpoint_lacking_meta_key_exits_3(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name,dtype,expected", [
+    ("layer0.ln1.g", "<U4", "real float"),
+    ("adam.m/layer0.ln1.g", "complex64", "real float"),
+    ("adam.v/layer0.ln1.g", "int64", "real float"),
+    ("adam.step", "float64", "integer"),
+])
+def test_resume_from_checkpoint_with_another_dtype_kind_exits_3(tmp_path, capsys, name,
+                                                               dtype, expected):
+    _, out = run_small_train(tmp_path)
+    tensors, meta = load_checkpoint(out / "last.ckpt")
+    tensors[name] = tensors[name].astype(dtype)
+    save_checkpoint(out / "last.ckpt", tensors, meta)
+    capsys.readouterr()
+    assert run_small_train(tmp_path, "--resume")[0] == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure") and f"'{name}'" in err and expected in err
+    assert "Traceback" not in err
+
+
 def test_train_determinism_across_runs(tmp_path):
     _, out_a = run_small_train(tmp_path / "a")
     _, out_b = run_small_train(tmp_path / "b")
@@ -379,6 +398,21 @@ def test_eval_checkpoint_with_bad_parameter_exits_3(tmp_path, capsys, defect):
     assert main(["eval", "--checkpoint", str(path)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("i/o failure") and "head.b" in err
+
+
+@pytest.mark.parametrize("dtype", ["<U4", "complex64", "int32"])
+def test_eval_checkpoint_with_parameter_of_another_dtype_kind_exits_3(tmp_path, capsys,
+                                                                       dtype):
+    # "<U4" used to die in a ValueError traceback, and complex64 loaded with
+    # its imaginary part dropped.
+    tensors, meta = load_checkpoint(write_checkpoint(tmp_path / "full.ckpt"))
+    tensors["embed.w"] = tensors["embed.w"].astype(dtype)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, tensors, meta)
+    assert main(["eval", "--checkpoint", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure") and "'embed.w'" in err and "real float" in err
+    assert "Traceback" not in err
 
 
 def test_eval_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Screen a change for per-step cost against its parent in one process.
 
-    python3 tools/screen.py --parent DIR --change DIR --workload NAME --steps N --evals M
+    python3 tools/screen.py --parent DIR --change DIR --workload NAME --steps N --evals M \
+        [--checkpoints K]
 
 DIR is a checkout of this repository.  The two checkouts' ``src/`` packages
 are imported side by side (under the names ``screen_parent`` and
@@ -10,10 +11,14 @@ and an Adam optimizer at ``lr = 0``, so the parameters never move.  Both sides
 then take one untimed warm-up step and ``N`` timed steps in turns, on the same
 batches and with the same dropout streams, and switch which side goes first
 at every step; then ``M`` evaluates over the test split, alternating the same
-way.  A step is ``batch_loss``, ``Adam.zero_grad``, ``backward`` and
-``Adam.step``, as in ``perfbench/worker.py``, over the epoch order and
-dropout streams the worker draws; the data comes from the change side's
-generator with the benchmark's reference seed.
+way; then ``K`` checkpoint round trips, alternating the same way.  A step is
+``batch_loss``, ``Adam.zero_grad``, ``backward`` and ``Adam.step``, as in
+``perfbench/worker.py``, over the epoch order and dropout streams the worker
+draws; the data comes from the change side's generator with the benchmark's
+reference seed.  A checkpoint round trip is the worker's too:
+``save_checkpoint`` of the parameters and the Adam state, then
+``load_checkpoint`` of the same file, each side with its own file in one
+temp directory.
 
 Separate processes running the same code can differ by 1.5x on a shared VM;
 steps alternated in one process see the same machine state, so the medians
@@ -22,9 +27,10 @@ worth building; a speed claim still needs ``perfbench/run.py`` pairs.  The
 heap policy that importing ``tensor`` sets is process-wide, so a change to it
 does not show here.
 
-Prints each side's median step and evaluate time and how many of them the
-change won.  Exits 1 at the first step (or evaluate) whose loss bytes
-differ between the sides, 0 otherwise.
+Prints each side's median step, evaluate and round-trip time and how many
+of them the change won.  Exits 1 at the first step (or evaluate) whose loss
+bytes differ between the sides, or the first round trip whose checkpoint
+files differ in any byte, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import importlib
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -62,7 +69,8 @@ def load_side(alias: str, checkout: Path) -> SimpleNamespace:
     sys.modules[alias] = pkg
     spec.loader.exec_module(pkg)
     return SimpleNamespace(**{name: importlib.import_module(f"{alias}.{name}")
-                              for name in ("config", "models", "optim", "train")})
+                              for name in ("config", "models", "optim", "serialization",
+                                           "train")})
 
 
 class Side:
@@ -73,9 +81,10 @@ class Side:
         self.label, self.pkg, self.seed = label, pkg, seed
         self.cfg = pkg.train.resolve_task_fields(pkg.config.ModelConfig(**config))
         self.model = pkg.models.build_model(self.cfg)
-        self.opt = pkg.optim.Adam(self.model.parameters(), lr=0.0)
+        self.params = self.model.parameters()
+        self.opt = pkg.optim.Adam(self.params, lr=0.0)
         self.drop_rng = None
-        self.step_s, self.eval_s = [], []
+        self.step_s, self.eval_s, self.ckpt_s = [], [], []
 
     def start_epoch(self, epoch: int):
         if self.cfg.dropout > 0:
@@ -96,6 +105,17 @@ class Side:
         self.eval_s.append(time.perf_counter() - start)
         return loss
 
+    def checkpoint(self, path: Path) -> bytes:
+        """One save and load of ``path``; returns the file's bytes."""
+        meta = {"epoch": 0, "step": self.opt.step_count, "best_test_accuracy": -1.0,
+                "config": dataclasses.asdict(self.cfg)}
+        start = time.perf_counter()
+        self.pkg.serialization.save_checkpoint(
+            path, self.pkg.train._checkpoint_tensors(self.params, self.opt), meta)
+        self.pkg.serialization.load_checkpoint(path)
+        self.ckpt_s.append(time.perf_counter() - start)
+        return path.read_bytes()
+
 
 def in_turns(i: int, parent: Side, change: Side):
     return (parent, change) if i % 2 == 0 else (change, parent)
@@ -104,11 +124,12 @@ def in_turns(i: int, parent: Side, change: Side):
 def report(what: str, parent_s: list, change_s: list) -> str:
     p_ms, c_ms = statistics.median(parent_s) * 1e3, statistics.median(change_s) * 1e3
     wins = sum(c < p for p, c in zip(parent_s, change_s))
-    return (f"{what}: parent {p_ms:.1f} ms, change {c_ms:.1f} ms "
+    return (f"{what}: parent {p_ms:.2f} ms, change {c_ms:.2f} ms "
             f"({(c_ms / p_ms - 1.0) * 100:+.1f} %), change faster in {wins} of {len(parent_s)}")
 
 
-def screen(parent_dir: Path, change_dir: Path, workload: str, steps: int, evals: int) -> int:
+def screen(parent_dir: Path, change_dir: Path, workload: str, steps: int, evals: int,
+           checkpoints: int) -> int:
     wl = WORKLOADS[workload]
     seed = REFERENCE_SEED
     parent = Side("parent", load_side("screen_parent", parent_dir), wl.config, seed)
@@ -140,12 +161,22 @@ def screen(parent_dir: Path, change_dir: Path, workload: str, steps: int, evals:
             print(f"evaluate {i}: losses differ: parent {losses['parent']!r}, "
                   f"change {losses['change']!r}", file=sys.stderr)
             return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(checkpoints):
+            files = {side.label: side.checkpoint(Path(tmp) / f"{side.label}.ckpt")
+                     for side in in_turns(i, parent, change)}
+            if files["parent"] != files["change"]:
+                print(f"checkpoint {i}: file bytes differ", file=sys.stderr)
+                return 1
 
-    print(f"{workload}: {steps} steps and {evals} evaluates per side, losses identical")
+    print(f"{workload}: {steps} steps, {evals} evaluates and {checkpoints} checkpoint "
+          f"round trips per side, losses and files identical")
     if steps:
         print(report("step", parent.step_s, change.step_s))
     if evals:
         print(report("evaluate", parent.eval_s, change.eval_s))
+    if checkpoints:
+        print(report("checkpoint", parent.ckpt_s, change.ckpt_s))
     return 0
 
 
@@ -156,8 +187,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--steps", type=int, required=True, help="timed steps per side")
     parser.add_argument("--evals", type=int, required=True, help="evaluates per side")
+    parser.add_argument("--checkpoints", type=int, default=0,
+                        help="checkpoint round trips per side, after the steps")
     args = parser.parse_args(argv)
-    return screen(args.parent, args.change, args.workload, args.steps, args.evals)
+    return screen(args.parent, args.change, args.workload, args.steps, args.evals,
+                  args.checkpoints)
 
 
 if __name__ == "__main__":

@@ -125,8 +125,6 @@ class ProjectionSet(T.Module):
 
     def __init__(self, rng: np.random.Generator, q_dim: int, kv_dim: int, out_dim: int,
                  n_heads: int, key_dim: int, value_dim: int, dtype=np.float32, prefix="mha"):
-        if n_heads < 1:
-            raise ConfigError("need at least one attention head")
         self.n_heads = n_heads
         self.key_dim = key_dim
         self.value_dim = value_dim

@@ -41,9 +41,14 @@ def _data_root(args) -> str | None:
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
+    """Write a temp file, then replace ``path``; a failure removes the temp file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    try:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_set(pairs: list[str]) -> dict:
@@ -141,6 +146,8 @@ def cmd_bench(args) -> int:
     ns_list = [int(x) if x.strip().isdigit() else 0 for x in args.ns.split(",")]
     if min(ns_list) < 1:
         raise ConfigError(f"--ns expects comma-separated positive sizes, got {args.ns!r}")
+    if min(args.d, args.nm) < 1:
+        raise ConfigError(f"--d and --nm must be at least 1, got {args.d} and {args.nm}")
     results = run_scaling(ns_list, n_m=args.nm, d=args.d, repeats=args.repeats)
     if args.out:
         write_csv(args.out, results)

@@ -2,8 +2,8 @@
 
 Configs load from YAML files and from checkpoint metadata through
 ``from_dict``, which checks each value against its field's declared type.
-``validate`` enforces the ranges and cross-field rules the hosts rely on; it
-runs before any compute is spent.
+``validate`` is the one config check: it enforces every range and cross-field
+rule the hosts rely on before any compute is spent, and no layer re-checks one.
 
 A field exists only for a value some caller sets.  What the task fixes (the
 class count, the image channels) is a read-only property derived from

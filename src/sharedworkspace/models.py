@@ -90,19 +90,15 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, (h // patch) * (w // patch), patch * patch * c)
 
 
-def _checked_rng(cfg: ModelConfig, hosts, kind: str):
-    """Validate ``cfg`` for a host class; returns the init generator, seeded
-    by ``cfg.seed``."""
+def _checked_rng(cfg: ModelConfig):
+    """``validate(cfg)``, then the init generator seeded by ``cfg.seed``.  No
+    layer re-checks a config rule: ``build_model`` picks the host class, and
+    ``validate`` binds hosts to tasks."""
     validate(cfg)
-    if cfg.host not in hosts:
-        raise ConfigError(f"host {cfg.host!r} is not a {kind}")
     return np.random.default_rng(cfg.seed)
 
 
 # ---- transformer hosts -------------------------------------------------------
-
-
-TRANSFORMER_HOSTS = ("tr", "tr_hc", "tr_ssw", "tr_hsw", "tr_2xsa")
 
 
 def _rows(x: Tensor, rows) -> Tensor:
@@ -188,7 +184,7 @@ class _TransformerStack(T.Module):
             if cfg.host == "tr_2xsa":
                 blk["sa2"] = attention(f"{p}.sa2")
             self.blocks.append(blk)
-        self.workspace = (_workspace(cfg, rng, dtype, self.max_tokens)
+        self.workspace = (_workspace(cfg, rng, dtype, cfg.n_writers)
                           if cfg.host in ("tr_ssw", "tr_hsw") else None)
 
     def _run_layers(self, h: Tensor, rng, rows=None) -> Tensor:
@@ -241,7 +237,7 @@ class TransformerClassifier(_TransformerStack):
     """
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
-        rng = _checked_rng(cfg, TRANSFORMER_HOSTS, "transformer classifier")
+        rng = _checked_rng(cfg)
         n_h = cfg.n_h
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
         self.max_tokens = cfg.n_writers
@@ -279,10 +275,9 @@ class CausalTransformerLM(_TransformerStack):
     """
 
     causal = True
-    hosts, kind = TRANSFORMER_HOSTS, "causal transformer"   # for _checked_rng
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
-        rng = _checked_rng(cfg, self.hosts, self.kind)
+        rng = _checked_rng(cfg)
         self.max_tokens = cfg.seq_len
         self.embed = T.uniform_init(rng, (cfg.vocab_size, cfg.n_h), 0.02, dtype, "embed")
         self.pos = T.uniform_init(rng, (self.max_tokens, cfg.n_h), 0.02, dtype, "pos")
@@ -302,8 +297,6 @@ class RimsCell(T.Module):
     """Per-specialist GRU cells plus the null-augmented input attention."""
 
     def __init__(self, rng, n_s, n_h, in_dim, n_sel, key_dim=16, dtype=np.float32):
-        if n_sel > n_s:
-            raise ConfigError(f"n_sel={n_sel} exceeds n_s={n_s}")
         self.n_s, self.n_h, self.in_dim, self.n_sel = n_s, n_h, in_dim, n_sel
         self.key_dim = key_dim
         self.dtype = dtype
@@ -381,7 +374,7 @@ class RimsModel(T.Module):
     specialists that communicate through the shared workspace at every step."""
 
     def __init__(self, cfg: ModelConfig, dtype=np.float32):
-        rng = _checked_rng(cfg, ("rims_sw",), "recurrent-specialist model")
+        rng = _checked_rng(cfg)
         self.cfg = cfg
         self.dtype = dtype
         patch_dim = cfg.patch_size * cfg.patch_size * cfg.n_channels
@@ -418,8 +411,6 @@ class TimsLayer(T.Module):
 
     def __init__(self, rng, n_b, dm, n_sel, n_l, ffn_dim, n_heads=2,
                  key_dim=8, value_dim=8, dtype=np.float32, prefix="tims"):
-        if n_sel > n_b:
-            raise ConfigError(f"n_sel={n_sel} exceeds n_b={n_b}")
         self.n_b, self.dm, self.n_sel, self.n_l = n_b, dm, n_sel, n_l
         si = 1.0 / np.sqrt(dm)
         self.w_c = T.uniform_init(rng, (n_b, dm), si, dtype, f"{prefix}.w_c")
@@ -485,8 +476,6 @@ class TimsModel(CausalTransformerLM):
     sandwiching a modular stack; its mechanisms communicate through a
     per-position shared workspace.  Every position runs to the end of
     ``mono_out``; only then are the read ``rows`` cut out."""
-
-    hosts, kind = ("tims_sw",), "mechanism-partitioned model"
 
     def _build_layers(self, rng) -> None:
         cfg, dtype, d, n_b = self.cfg, self.dtype, self.cfg.n_h, self.cfg.n_s

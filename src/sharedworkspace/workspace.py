@@ -52,14 +52,10 @@ class SharedWorkspace(T.Module):
                  n_heads: int = 4, key_dim: int = 32, value_dim: int | None = None,
                  gate_style: str = "unit", include_memory_rows: bool = False,
                  read_q_dim: int | None = None, dtype=np.float32):
-        if n_m < 1:
-            raise ConfigError("workspace needs at least one memory slot")
         if n_m >= n_s:
             warnings.warn(
                 f"n_m={n_m} >= n_s={n_s}: the workspace is no longer a bandwidth "
                 "bottleneck relative to the specialists", stacklevel=2)
-        if gate_style not in GATE_STYLES:
-            raise ConfigError(f"unknown gate_style {gate_style!r}")
         # Slots are as wide as the specialists, so a write over memory rows
         # can stack [M; A].
         n_l = n_h
@@ -101,9 +97,9 @@ class SharedWorkspace(T.Module):
         """Candidate memory from the write competition.
 
         ``specialists``: (..., n_s, n_h) rows of R.  ``topk`` selects hard
-        competition with k specialist writers; None is soft competition.  A
-        workspace built with ``include_memory_rows`` takes soft competition
-        only.
+        competition with k specialist writers; None is soft competition.
+        Only ``tr_hsw`` sets ``topk`` (``config.validate``), and its
+        workspace has no memory rows; ``topk_select`` bounds k.
         ``write_mask`` optionally hides specialist columns (e.g. causal
         masking), broadcastable to (..., n_m, n_keys).
         Returns (candidate memory M_tilde, attention output for logging).
@@ -112,11 +108,6 @@ class SharedWorkspace(T.Module):
             raise ConfigError("write_step needs at least one specialist")
         if not np.isfinite(specialists.data).all():
             raise NumericError("non-finite specialist state entering workspace write")
-        if topk is not None:
-            if self.include_memory_rows:
-                raise ConfigError("hard write competition (topk) needs include_memory_rows=False")
-            if not 1 <= topk <= specialists.shape[-2]:
-                raise ConfigError(f"topk={topk} out of range for {specialists.shape[-2]} specialists")
         kv = T.concat([ws.memory, specialists], axis=-2) if self.include_memory_rows else specialists
         att = multihead(ws.memory, kv, self.write_proj, mask=write_mask, topk=topk)
         return att.values, att

@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+import yaml
 
 from sharedworkspace import tensor as T
 from sharedworkspace import train
 from sharedworkspace.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                                  _assemble_config, build_parser, main)
-from sharedworkspace.config import ModelConfig
+from sharedworkspace.config import ModelConfig, from_dict, validate
+from sharedworkspace.errors import ConfigError
 from sharedworkspace.models import build_model
 from sharedworkspace.serialization import load_checkpoint, read_metrics, save_checkpoint
 from sharedworkspace.tasks import load_dataset
@@ -65,6 +67,13 @@ def test_train_smoke_writes_manifest(tmp_path):
     for key in ("metrics", "checkpoint_last", "checkpoint_best"):
         assert manifest["artifacts"][key]
     assert len(read_metrics(out / "metrics.jsonl")) == 4
+
+
+def test_failed_manifest_write_exits_3_and_removes_its_temp_file(tmp_path):
+    (tmp_path / "run" / "manifest.json").mkdir(parents=True)
+    code, out = run_small_train(tmp_path, "--epochs", "1")
+    assert code == EXIT_IO
+    assert not (out / "manifest.json.tmp").exists()
 
 
 def test_train_over_truncated_cached_dataset_exits_3(tmp_path, capsys):
@@ -166,6 +175,35 @@ def test_out_of_range_setting_exits_1_before_run_dir(tmp_path, capsys, key, argv
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,match", [
+    # rules that only validate checks: no layer below it re-checks them
+    pytest.param("n_m: 0", "n_m must be at least 1", id="n_m-0"),
+    pytest.param("host: rims_sw\ntopk: 2", "topk applies only", id="topk-rims_sw"),
+    pytest.param("host: tims_sw\ntask: copy\nn_s: 2\nn_sel: 3", "n_sel=3 exceeds n_s=2",
+                 id="n_sel-tims_sw"),
+    pytest.param("host: rims_sw\ntask: copy", "bound to the triangles", id="rims_sw-copy"),
+    pytest.param("host: tims_sw\ntask: triangles", "bound to the copy", id="tims_sw-triangles"),
+    pytest.param("host: gru", "unknown host", id="host"),
+    pytest.param("task: mnist", "unknown task", id="task"),
+    pytest.param("version: 2", "version 2 unsupported", id="version"),
+    pytest.param("host: tims_sw\ntask: copy\nn_s: 3", "divisible by n_s", id="n_h-n_s"),
+    pytest.param("patch_size: 5", "must divide image_size", id="patch_size"),
+    pytest.param("task: copy\nvocab_size: 1", "vocab_size >= 2", id="vocab_size-1"),
+    pytest.param("dropout: 1.0", "dropout 1.0 out of range", id="dropout-1"),
+    pytest.param("- host\n- tr", "must be a mapping", id="not-a-mapping")])
+def test_config_rule_raises_in_validate_and_exits_1_before_run_dir(tmp_path, capsys,
+                                                                    text, match):
+    data = yaml.safe_load(text)
+    with pytest.raises(ConfigError, match=match):
+        validate(ModelConfig(**data)) if isinstance(data, dict) else from_dict(data)
+    (tmp_path / "c.yaml").write_text(text + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(tmp_path / "c.yaml"), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and match in err
     assert not out.exists()
 
 
@@ -469,10 +507,13 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
-def test_bench_with_a_size_that_is_not_a_positive_integer_exits_1(capsys):
-    for ns in ("32,abc", "0,32"):
-        assert main(["bench", "--ns", ns]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error")
+@pytest.mark.parametrize("flag,value", [("--ns", "32,abc"), ("--ns", "0,32"), ("--d", "0"),
+                                        ("--d", "-1"), ("--nm", "0"), ("--nm", "-2")])
+def test_bench_with_a_size_that_is_not_a_positive_integer_exits_1(capsys, flag, value):
+    # Rejected before any stage is built or timed.
+    assert main(["bench", "--ns", "8,16", flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and flag in err
 
 
 # ---- dump-attn ---------------------------------------------------------------

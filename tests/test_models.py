@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_topk_bounded_by_writer_count(task, n_writers):
 def test_nsel_bounded_by_ns():
     with pytest.raises(ConfigError):
         validate(toy("rims_sw", n_sel=9))
+
+
+def test_lm_bandwidth_warning_counts_the_fed_positions():
+    # copy_len=3: the LM is fed 2·copy_len = 6 positions, its writers, not
+    # the seq_len = 7 its position table holds.
+    with pytest.warns(UserWarning, match="bottleneck"):
+        build_model(toy("tr_ssw", task="copy", n_m=6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_model(toy("tr_ssw", task="copy", n_m=5))
 
 
 # The settable surface of a run.  Every field is a value some caller sets;

@@ -122,12 +122,12 @@ def test_include_memory_rows_concatenates_memory_keys():
 
 
 def test_topk_write_rejected_with_memory_rows():
+    # config.validate refuses topk on every host but tr_hsw, whose workspace
+    # has no memory rows; a workspace with memory rows runs soft competition.
     rng = np.random.default_rng(6)
     ws = make_ws(rng, include_memory_rows=True)
     state = ws.reset(())
     spec = t64(rng.normal(size=(5, 8)))
-    with pytest.raises(ConfigError, match="include_memory_rows"):
-        ws.write_step(state, spec, topk=2)
     cand, _ = ws.write_step(state, spec)   # soft competition still runs
     assert cand.shape == (ws.n_m, ws.n_l)
 

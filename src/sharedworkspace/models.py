@@ -41,7 +41,12 @@ from .config import ModelConfig, validate
 from .errors import ConfigError
 from .tasks import SOC_QUESTION_BITS
 from .tensor import Tensor
-from .workspace import SharedWorkspace, WorkspaceState, causal_mask
+from .workspace import SharedWorkspace, WorkspaceState
+
+
+def causal_mask(n: int) -> np.ndarray:
+    """(n, n) lower-triangular keep mask: row t keeps keys at positions <= t."""
+    return np.tril(np.ones((n, n), dtype=np.float32))
 
 
 # ---- building blocks ---------------------------------------------------------
@@ -221,7 +226,7 @@ class _TransformerStack(T.Module):
                     state = self.workspace.reset(memory_batch)
                 xn = blk["ln1b" if "sa" in blk else "ln1"](h)
                 state, read, write = self.workspace.communicate(state, xn, _rows(xn, cut),
-                                                                cfg.topk, self.causal, cut)
+                                                                cfg.topk, mask, cut)
                 self.last_attention.append(write.weights.data[0].mean(axis=-3))
                 h = T.add(_rows(h, cut), drop(read, cut))
             h = _feed_forward(h, blk, drop, cut)

@@ -265,6 +265,8 @@ def gen_copy(n: int, vocab: int = 8, seq_len: int = 10, seed: int = 0) -> dict:
         raise ConfigError("need n >= 1")
     if vocab < 2:
         raise ConfigError("vocab must be >= 2 (token 0 is the delimiter)")
+    if seq_len < 2:
+        raise ConfigError(f"seq_len must be >= 2 (a copy_len of at least 1), got {seq_len}")
     if seq_len % 2:
         raise ConfigError("seq_len must be even (prefix + echo)")
     half = seq_len // 2

@@ -25,19 +25,22 @@ sigmoid and relu their output (softmax also its ``keep``, as bool), layer norm
 only shapes and indices.  Any other buffer, such as raw attention scores,
 pre-bias products or residual sums, is freed when the caller drops its
 tensor.  A new op follows the same rule: its closure names the inputs'
-``_node``s and the arrays it reads, and no input tensor.
+``_node``s and the arrays it reads, and no input tensor.  It returns
+through ``_op``, which records the closure and any rebuild on the output's
+node, and names that node nowhere else.
 
 Rebuild, don't hold.  Two outputs are cheap, exact functions of arrays their
 own closures keep: layer norm's ``xh * gain + bias`` and top-k softmax's
 ``y * keep``.  Their op computes the output through that function and
-records it as the node's ``_rebuild``; reshape, swapaxes and a basic-index
-take pass it on as the same view.  When mul or matmul reads such an input,
-its closure keeps the input's node instead of the array (``_held``), and
-backward reads the data through the node's ``_memo`` (``_read``): the first
-reader rebuilds it, and the memo and the rebuild go with the producer's
-closure, so an output is rebuilt at most once per backward and its array
-is freed with the caller's handle.  The rebuild reads only what the closure
-already keeps, plus the bias parameter's array.
+hands it to ``_op`` as the node's ``_rebuild``; reshape, swapaxes and a
+basic-index take pass it on as the same view (``_pass_view``).  When mul or
+matmul reads such an input, its closure keeps the input's node instead of
+the array (``_held``), and backward reads the data through the node's
+``_memo`` (``_read``): the first reader rebuilds it, and the memo and the
+rebuild go with the producer's closure, so an output is rebuilt at most
+once per backward and its array is freed with the caller's handle.  The
+rebuild reads only what the closure already keeps, plus the bias
+parameter's array.
 
 Reductions use numpy's fixed sequential order, so forward passes are
 bit-reproducible on a given build.  The gradient of a matmul operand that
@@ -298,11 +301,24 @@ def _read(held):
     return held._memo
 
 
-def _pass_view(out: Tensor, na: _Node, view):
-    """Make ``out``, the view ``view(data)`` of an input with node ``na``,
-    rebuildable as the same view of the input's rebuild, when it has one."""
-    if out._node is not None and na._rebuild is not None:
-        out._node._rebuild = lambda: view(_read(na))
+def _op(data, prev, backward, rebuild=None) -> Tensor:
+    """The output ``data`` of an op on the tensors ``prev``.  When it records
+    a gradient (see ``_make``), its node takes the closure ``backward`` and
+    ``rebuild``; no op touches its output's node itself."""
+    # Through the module global: perfbench/tracer.py rebinds ``_make``.
+    out = _make(data, prev)
+    if out._node is not None:
+        out._node._backward = backward
+        out._node._rebuild = rebuild
+    return out
+
+
+def _pass_view(na: _Node | None, view):
+    """The rebuild of the view ``view(data)`` of an input with node ``na``:
+    the same view of the input's rebuild, when it has one."""
+    if na is not None and na._rebuild is not None:
+        return lambda: view(_read(na))
+    return None
 
 
 def _accum(node: _Node, g, fresh=False):
@@ -348,61 +364,45 @@ def _unbroadcast(g, shape):
 
 def add(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
-    out = _make(a.data + b.data, (a, b))
-    if out._node is not None:
-        na, nb = a._node, b._node
-        def _bw(g):
-            # A summed-down gradient is fresh; an unreduced one is ``g`` itself.
-            if na is not None:
-                _accum(na, _unbroadcast(g, na.shape), fresh=g.shape != na.shape)
-            if nb is not None:
-                _accum(nb, _unbroadcast(g, nb.shape), fresh=g.shape != nb.shape)
-        out._node._backward = _bw
-    return out
+    na, nb = a._node, b._node
+    def _bw(g):
+        # A summed-down gradient is fresh; an unreduced one is ``g`` itself.
+        if na is not None:
+            _accum(na, _unbroadcast(g, na.shape), fresh=g.shape != na.shape)
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, nb.shape), fresh=g.shape != nb.shape)
+    return _op(a.data + b.data, (a, b), _bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
-    out = _make(a.data * b.data, (a, b))
-    if out._node is not None:
-        na, nb = a._node, b._node
-        # Each factor's gradient reads the other factor only.
-        ad = _held(a) if nb is not None else None
-        bd = _held(b) if na is not None else None
-        def _bw(g):
-            if na is not None:
-                _accum(na, _unbroadcast(g * _read(bd), na.shape), fresh=True)
-            if nb is not None:
-                _accum(nb, _unbroadcast(g * _read(ad), nb.shape), fresh=True)
-        out._node._backward = _bw
-    return out
+    na, nb = a._node, b._node
+    # Each factor's gradient reads the other factor only.
+    ad = _held(a) if nb is not None else None
+    bd = _held(b) if na is not None else None
+    def _bw(g):
+        if na is not None:
+            _accum(na, _unbroadcast(g * _read(bd), na.shape), fresh=True)
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * _read(ad), nb.shape), fresh=True)
+    return _op(a.data * b.data, (a, b), _bw)
 
 
 def relu(a) -> Tensor:
     a = _astensor(a)
     y = np.maximum(a.data, 0.0)
-    out = _make(y, (a,))
-    if out._node is not None:
-        na = a._node
-        # relu(x) > 0 exactly where x > 0 (for +-0 and NaN too), so the mask
-        # reads the output.  It is made here, not at forward time: a forward
-        # that is never differentiated (evaluation) still records the tape.
-        def _bw(g):
-            _accum(na, g * (y > 0), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    # relu(x) > 0 exactly where x > 0 (for +-0 and NaN too), so the mask
+    # reads the output.  It is made in backward, not at forward time: a
+    # forward that is never differentiated (evaluation) still records the tape.
+    return _op(y, (a,), lambda g: _accum(na, g * (y > 0), fresh=True))
 
 
 def tanh(a) -> Tensor:
     a = _astensor(a)
     y = np.tanh(a.data)
-    out = _make(y, (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            _accum(na, g * (1.0 - y * y), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    return _op(y, (a,), lambda g: _accum(na, g * (1.0 - y * y), fresh=True))
 
 
 def sigmoid(a) -> Tensor:
@@ -417,13 +417,8 @@ def sigmoid(a) -> Tensor:
     np.exp(d, out=d)
     d += 1.0
     y /= d
-    out = _make(y, (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            _accum(na, g * y * (1.0 - y), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    return _op(y, (a,), lambda g: _accum(na, g * y * (1.0 - y), fresh=True))
 
 
 # ---- shape ops --------------------------------------------------------------
@@ -431,42 +426,30 @@ def sigmoid(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _astensor(a)
-    out = _make(a.data.reshape(shape), (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            _accum(na, g.reshape(na.shape))
-        out._node._backward = _bw
-        _pass_view(out, na, lambda d: d.reshape(shape))
-    return out
+    na = a._node
+    return _op(a.data.reshape(shape), (a,), lambda g: _accum(na, g.reshape(na.shape)),
+               _pass_view(na, lambda d: d.reshape(shape)))
 
 
 def swapaxes(a, ax1, ax2) -> Tensor:
     a = _astensor(a)
-    out = _make(np.swapaxes(a.data, ax1, ax2), (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            _accum(na, np.swapaxes(g, ax1, ax2))
-        out._node._backward = _bw
-        _pass_view(out, na, lambda d: np.swapaxes(d, ax1, ax2))
-    return out
+    na = a._node
+    return _op(np.swapaxes(a.data, ax1, ax2), (a,),
+               lambda g: _accum(na, np.swapaxes(g, ax1, ax2)),
+               _pass_view(na, lambda d: np.swapaxes(d, ax1, ax2)))
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [_astensor(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out._node is not None:
-        nodes = [t._node for t in tensors]
-        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-        def _bw(g):
-            for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-                if n is not None:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(lo, hi)
-                    _accum(n, g[tuple(idx)])
-        out._node._backward = _bw
-    return out
+    nodes = [t._node for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    def _bw(g):
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accum(n, g[tuple(idx)])
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
 
 
 def _is_basic_index(idx) -> bool:
@@ -484,23 +467,18 @@ def take(a, idx) -> Tensor:
     (which may repeat) need.
     """
     a = _astensor(a)
-    out = _make(a.data[idx], (a,))
-    if out._node is not None:
-        na, basic = a._node, _is_basic_index(idx)
-        def _bw(g):
-            if na.grad is None:
-                na.grad = np.zeros(na.shape, na.dtype)
-            elif not na._owns_grad:
-                na.grad = na.grad.copy()
-            na._owns_grad = True
-            if basic:
-                na.grad[idx] += g
-            else:
-                np.add.at(na.grad, idx, g)
-        out._node._backward = _bw
+    na, basic = a._node, _is_basic_index(idx)
+    def _bw(g):
+        if na.grad is None:
+            na.grad = np.zeros(na.shape, na.dtype)
+        elif not na._owns_grad:
+            na.grad = na.grad.copy()
+        na._owns_grad = True
         if basic:
-            _pass_view(out, na, lambda d: d[idx])
-    return out
+            na.grad[idx] += g
+        else:
+            np.add.at(na.grad, idx, g)
+    return _op(a.data[idx], (a,), _bw, _pass_view(na, lambda d: d[idx]) if basic else None)
 
 
 # ---- reductions -------------------------------------------------------------
@@ -508,15 +486,12 @@ def take(a, idx) -> Tensor:
 
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = _astensor(a)
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(na, np.broadcast_to(g, na.shape).copy(), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    def _bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accum(na, np.broadcast_to(g, na.shape).copy(), fresh=True)
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a,), _bw)
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
@@ -564,30 +539,27 @@ def matmul(a, b) -> Tensor:
     a, b = _astensor(a), _astensor(b, like=a)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b))
-    if out._node is not None:
-        na, nb = a._node, b._node
-        # 1-D operands take part as a (1, k) row or a (k, 1) column.
-        a2_shape = a.data.shape if a.data.ndim > 1 else (1,) + a.data.shape
-        b2_shape = b.data.shape if b.data.ndim > 1 else b.data.shape + (1,)
-        g_shape = np.broadcast_shapes(a2_shape[:-2], b2_shape[:-2]) + (a2_shape[-2], b2_shape[-1])
-        # Each operand's gradient reads the other operand only.
-        ha = _held(a) if nb is not None else None
-        hb = _held(b) if na is not None else None
-        def _bw(g):
-            g = g.reshape(g_shape)
-            if na is not None:
-                b2 = _read(hb)
-                b2 = b2 if b2.ndim > 1 else b2[:, None]
-                _accum(na, _matmul_sum(g, _transposed(b2), a2_shape).reshape(na.shape),
-                       fresh=True)
-            if nb is not None:
-                a2 = _read(ha)
-                a2 = a2 if a2.ndim > 1 else a2[None, :]
-                _accum(nb, _matmul_sum(_transposed(a2), g, b2_shape).reshape(nb.shape),
-                       fresh=True)
-        out._node._backward = _bw
-    return out
+    na, nb = a._node, b._node
+    # 1-D operands take part as a (1, k) row or a (k, 1) column.
+    a2_shape = a.data.shape if a.data.ndim > 1 else (1,) + a.data.shape
+    b2_shape = b.data.shape if b.data.ndim > 1 else b.data.shape + (1,)
+    g_shape = np.broadcast_shapes(a2_shape[:-2], b2_shape[:-2]) + (a2_shape[-2], b2_shape[-1])
+    # Each operand's gradient reads the other operand only.
+    ha = _held(a) if nb is not None else None
+    hb = _held(b) if na is not None else None
+    def _bw(g):
+        g = g.reshape(g_shape)
+        if na is not None:
+            b2 = _read(hb)
+            b2 = b2 if b2.ndim > 1 else b2[:, None]
+            _accum(na, _matmul_sum(g, _transposed(b2), a2_shape).reshape(na.shape),
+                   fresh=True)
+        if nb is not None:
+            a2 = _read(ha)
+            a2 = a2 if a2.ndim > 1 else a2[None, :]
+            _accum(nb, _matmul_sum(_transposed(a2), g, b2_shape).reshape(nb.shape),
+                   fresh=True)
+    return _op(np.matmul(a.data, b.data), (a, b), _bw)
 
 
 # ---- softmax family ---------------------------------------------------------
@@ -646,17 +618,13 @@ def softmax(a, axis=-1, keep=None) -> Tensor:
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
         rebuild = lambda: y * keep   # noqa: E731
-    out = _make(y if keep is None else rebuild(), (a,))
-    if out._node is not None:
-        na = a._node
-        out._node._rebuild = rebuild
-        def _bw(g):
-            if keep is not None:
-                g = g * keep
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accum(na, y * (g - dot), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    def _bw(g):
+        if keep is not None:
+            g = g * keep
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        _accum(na, y * (g - dot), fresh=True)
+    return _op(y if keep is None else rebuild(), (a,), _bw, rebuild)
 
 
 def log_softmax(a) -> Tensor:
@@ -665,13 +633,9 @@ def log_softmax(a) -> Tensor:
     shifted = a.data - _row_max(a.data, -1)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     y = shifted - lse
-    out = _make(y, (a,))
-    if out._node is not None:
-        na = a._node
-        def _bw(g):
-            _accum(na, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True)
-        out._node._backward = _bw
-    return out
+    na = a._node
+    return _op(y, (a,),
+               lambda g: _accum(na, g - np.exp(y) * g.sum(axis=-1, keepdims=True), fresh=True))
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -714,30 +678,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         y = xh * gd
         y += bd
         return y
-    out = _make(rebuild(), (x, gain, bias))
-    if out._node is not None:
-        nx, ng, nbias = x._node, gain._node, bias._node
-        out._node._rebuild = rebuild
-        def _bw(g):
-            gxh = g * xh
-            if ng is not None:
-                _accum(ng, _unbroadcast(gxh, ng.shape), fresh=True)
-            if nbias is not None:
-                _accum(nbias, _unbroadcast(g, nbias.shape), fresh=g.shape != nbias.shape)
-            if nx is not None:
-                # Row means of gx and gx * xh as dot products with the gain,
-                # without a full-size product.
-                def row_mean(a):
-                    m = np.einsum("...i,...i->...", a, gd)[..., None]
-                    m *= rn
-                    return m
-                gx = g * gd
-                gx -= row_mean(g)
-                gx -= xh * row_mean(gxh)
-                gx *= inv
-                _accum(nx, _unbroadcast(gx, nx.shape), fresh=True)
-        out._node._backward = _bw
-    return out
+    nx, ng, nbias = x._node, gain._node, bias._node
+    def _bw(g):
+        gxh = g * xh
+        if ng is not None:
+            _accum(ng, _unbroadcast(gxh, ng.shape), fresh=True)
+        if nbias is not None:
+            _accum(nbias, _unbroadcast(g, nbias.shape), fresh=g.shape != nbias.shape)
+        if nx is not None:
+            # Row means of gx and gx * xh as dot products with the gain,
+            # without a full-size product.
+            def row_mean(a):
+                m = np.einsum("...i,...i->...", a, gd)[..., None]
+                m *= rn
+                return m
+            gx = g * gd
+            gx -= row_mean(g)
+            gx -= xh * row_mean(gxh)
+            gx *= inv
+            _accum(nx, _unbroadcast(gx, nx.shape), fresh=True)
+    return _op(rebuild(), (x, gain, bias), _bw, rebuild)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
@@ -764,13 +724,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     # 1 / (1 - rate) rounded as the kept entries of that float mask were.
     scale = np.ones((), x.data.dtype)
     scale /= 1.0 - rate
-    out = _make(_masked_scale(x.data, keep, scale), (x,))
-    if out._node is not None:
-        nx = x._node
-        def _bw(g):
-            _accum(nx, _masked_scale(g, keep, scale), fresh=True)
-        out._node._backward = _bw
-    return out
+    nx = x._node
+    return _op(_masked_scale(x.data, keep, scale), (x,),
+               lambda g: _accum(nx, _masked_scale(g, keep, scale), fresh=True))
 
 
 # Uniforms a dropout mask draws at a time.  One float64 draw of a whole

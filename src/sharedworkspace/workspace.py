@@ -21,17 +21,6 @@ from .optim import NumericError
 from .tensor import Tensor
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """(n, n) lower-triangular keep mask: row t keeps keys at positions <= t."""
-    return np.tril(np.ones((n, n), dtype=np.float32))
-
-
-def prefix_mean_matrix(n: int, dtype=np.float32) -> np.ndarray:
-    """(n, n) matrix L with L @ x giving causal running means of the rows of x."""
-    m = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
-    return m.astype(dtype)
-
-
 @dataclass
 class WorkspaceState:
     """Slot memory with arbitrary leading batch dims: (..., n_m, n_l).
@@ -126,7 +115,8 @@ class SharedWorkspace(T.Module):
         """Gated blend with a caller-supplied pooled input summary.
 
         ``x_bar`` broadcasts against the memory (..., 1, n_l); the causal
-        round passes a prefix mean instead of the full specialist mean.
+        round passes each copy's mean over its masked writers instead of the
+        full specialist mean.
         """
         prev = ws.memory
         k = T.add(x_bar, T.tanh(prev))
@@ -142,43 +132,46 @@ class SharedWorkspace(T.Module):
         return T.add(specialists, att.values), att
 
     def communicate(self, ws: WorkspaceState, writers: Tensor, readers: Tensor,
-                    topk: int | None = None, causal: bool = False,
+                    topk: int | None = None, mask=None,
                     rows=None) -> tuple[WorkspaceState, Tensor, AttentionOutput]:
         """Write, gated update, then read: (new state, read values shaped like
         ``readers`` without the residual, write attention).
 
         Writers (..., n_s, n_h) share one memory (..., n_m, n_l).  With
-        ``causal`` writers and readers are (B, T, d) and the memory (B, T, n_m,
-        n_l): copy t takes writes from positions <= t, its gate pools their
-        prefix mean, and position t reads copy t.  ``rows``, a slice, names
-        the writer positions that ``readers`` holds (None: every position in
-        a causal round; readers that are not positions otherwise).  A causal
-        round builds only those positions' memory copies: the incoming
-        memory, the write mask and the prefix mean are cut to them, and the
+        ``mask``, the (T, T) 0/1 keep mask of a causal host, writers and
+        readers are (B, T, d) and the memory (B, T, n_m, n_l): copy t takes
+        writes from the positions that row t of the mask keeps, its gate
+        pools their mean, and position t reads copy t.  ``rows``, a slice,
+        names the writer positions that ``readers`` holds (None: every
+        position in a masked round; readers that are not positions
+        otherwise).  A masked round builds only those positions' memory
+        copies: the incoming memory and the mask are cut to them, and the
         new state holds only them.
         """
         positions = range(writers.shape[-2])
         if rows is not None:
             positions = positions[rows]
-        if (causal or rows is not None) and readers.shape[-2] != len(positions):
+        if (mask is not None or rows is not None) and readers.shape[-2] != len(positions):
             raise ConfigError(f"{readers.shape[-2]} readers for the {len(positions)} "
                               f"writer positions {rows or 'all'}")
-        if not causal:
+        if mask is None:
             cand, att = self.write_step(ws, writers, topk)
             ws = self.gated_update(ws, cand, writers)
             return ws, multihead(readers, ws.memory, self.read_proj).values, att
         b, n_t, n_h = writers.shape
         n_r = len(positions)
-        keep, prefix_mean = causal_mask(n_t), prefix_mean_matrix(n_t, self.dtype)
         if rows is not None:
             ws = WorkspaceState(memory=ws.memory[:, rows])
-            keep, prefix_mean = keep[rows], prefix_mean[rows]
+            mask = mask[rows]
         # Write-mask axes: memory copy (axis -4), heads, slots, writer position.
-        mask = keep.reshape(n_r, 1, 1, n_t)
-        cand, att = self.write_step(ws, T.reshape(writers, (b, 1, n_t, n_h)), topk, mask)
-        # Pool from ``writers``, not the view above: it fixes the order in
-        # which gradients add up.
-        pooled = T.matmul(Tensor(prefix_mean), T.relu(T.matmul(writers, self.w1)))
+        cand, att = self.write_step(ws, T.reshape(writers, (b, 1, n_t, n_h)), topk,
+                                    mask.reshape(n_r, 1, 1, n_t))
+        # Each copy's gate input is the mean of the writers its row keeps,
+        # divided in the workspace's dtype.  Pool from ``writers``, not the
+        # view above: it fixes the order in which gradients add up.
+        keep = np.asarray(mask, dtype=self.dtype)
+        pooled = T.matmul(Tensor(keep / keep.sum(-1, keepdims=True)),
+                          T.relu(T.matmul(writers, self.w1)))
         ws = self.gated_update_from_pooled(ws, cand, T.reshape(pooled, (b, n_r, 1, self.n_l)))
         read = multihead(T.reshape(readers, (b, n_r, 1, readers.shape[-1])),
                          ws.memory, self.read_proj)

@@ -53,6 +53,16 @@ def test_generate_writes_loadable_dataset(tmp_path):
     assert np.asarray(d["images"]).shape == (20, 32, 32)
 
 
+@pytest.mark.parametrize("copy_len", ["0", "-2"])
+def test_generate_with_too_short_copy_exits_1_and_writes_nothing(tmp_path, capsys, copy_len):
+    out = tmp_path / "c.swds"
+    assert main(["generate", "--task", "copy", "--n", "4", "--copy-len", copy_len,
+                 "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "copy_len" in err
+    assert not out.exists()
+
+
 # ---- train -------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from sharedworkspace.models import (CausalTransformerLM, RimsCell, RimsModel,
                                     causal_mask, patchify, rims_sw_step, tims_sw_layer)
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.train import batch_loss, resolve_task_fields
-from sharedworkspace.workspace import SharedWorkspace, prefix_mean_matrix
+from sharedworkspace.workspace import SharedWorkspace
 
 from test_host_pinning import CASES, pin_batch, pin_config, tape_size
 

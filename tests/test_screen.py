@@ -3,6 +3,7 @@
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +33,25 @@ def test_screen_stops_at_a_changed_loss(tmp_path):
     assert "step 0: loss bytes differ" in done.stderr
 
 
+def test_screen_stops_at_a_changed_gradient_under_an_unchanged_loss(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "sharedworkspace" / "optim.py", "a") as fh:
+        fh.write(textwrap.dedent("""
+            _step = Adam.step
+
+            def _step_with_doubled_head_bias_gradient(self, lr=None):
+                self.params["head.b"].grad *= 2.0
+                return _step(self, lr)
+
+            Adam.step = _step_with_doubled_head_bias_gradient
+            """))
+    done = screen(ROOT, tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "step 0: gradient bytes of 'head.b' differ" in done.stderr
+    assert "loss bytes differ" not in done.stderr
+
+
 def screen_checkpoints(parent, change):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "screen.py"), "--parent", str(parent),
@@ -43,7 +63,8 @@ def screen_checkpoints(parent, change):
 def test_screen_times_checkpoint_round_trips():
     done = screen_checkpoints(ROOT, ROOT)
     assert done.returncode == 0, done.stderr
-    assert "3 checkpoint round trips per side, losses and files identical" in done.stdout
+    assert ("3 checkpoint round trips per side, losses, gradients and files identical"
+            in done.stdout)
     assert "checkpoint: parent" in done.stdout and "change faster in" in done.stdout
 
 

@@ -199,6 +199,10 @@ def test_copy_validation():
         gen_copy(5, vocab=1)
     with pytest.raises(ConfigError):
         gen_copy(5, seq_len=7)
+    # --copy-len 0 and -2 on the command line: no prefix to echo.
+    for seq_len in (0, -4):
+        with pytest.raises(ConfigError, match="seq_len must be >= 2"):
+            gen_copy(5, seq_len=seq_len)
 
 
 # ---- on-disk format ----------------------------------------------------------

@@ -201,6 +201,52 @@ def test_constant_operands_get_no_gradient():
     assert w.grad is not None and w.grad.shape == (3, 3)
 
 
+# Every public op of ``tensor`` applied to one (4, 6) input; any other operand
+# is a constant.
+_OPS = {
+    "add": lambda x: T.add(x, 1.0),
+    "mul": lambda x: T.mul(x, 2.0),
+    "relu": T.relu,
+    "tanh": T.tanh,
+    "sigmoid": T.sigmoid,
+    "reshape": lambda x: T.reshape(x, (6, 4)),
+    "swapaxes": lambda x: T.swapaxes(x, 0, 1),
+    "concat": lambda x: T.concat([x, np.ones((4, 2))], axis=1),
+    "take": lambda x: x[1:3],
+    "take-advanced": lambda x: x[np.array([0, 2, 0])],
+    "tsum": lambda x: T.tsum(x, axis=1),
+    "tmean": T.tmean,
+    "matmul": lambda x: T.matmul(x, np.ones((6, 3))),
+    "softmax": T.softmax,
+    "softmax-keep": lambda x: T.softmax(x, keep=np.arange(6) % 2),
+    "log_softmax": T.log_softmax,
+    "cross_entropy": lambda x: T.cross_entropy(x, np.arange(4)),
+    "layer_norm": lambda x: T.layer_norm(x, np.full(6, 1.5), np.zeros(6)),
+    "dropout": lambda x: T.dropout(x, 0.5, np.random.default_rng(0)),
+}
+
+
+def test_every_public_op_is_in_the_op_table():
+    public = {name for name, fn in vars(T).items()
+              if callable(fn) and getattr(fn, "__module__", None) == T.__name__
+              and not name.startswith("_") and not isinstance(fn, type)}
+    builders = {"uniform_init", "linear_init", "zeros", "ones"}
+    assert public - builders == {case.split("-")[0] for case in _OPS}
+
+
+@pytest.mark.parametrize("op", list(_OPS))
+def test_an_op_output_has_a_node_exactly_when_it_records_a_gradient(op):
+    data = np.random.default_rng(16).normal(size=(4, 6))
+    assert _OPS[op](t64(data))._node is None
+    x = t64(data, requires_grad=True)
+    with T.no_grad():
+        assert _OPS[op](x)._node is None
+    out = _OPS[op](x)
+    assert out._node is not None and callable(out._node._backward)
+    T.tsum(out).backward()
+    assert x.grad.shape == x.shape
+
+
 def test_broadcast_matmul_backward_builds_no_per_batch_stack():
     # tracemalloc sees numpy buffers.  A per-batch (B, d, e) stack of weight
     # gradients, summed afterwards, would lift the peak past this bound.
@@ -266,6 +312,24 @@ def test_backward_through_a_tensor_without_gradient_raises():
     with pytest.raises(RuntimeError, match="records no gradient"):
         constant.backward()
     assert constant.grad is None
+
+
+def test_backward_of_a_non_scalar_needs_its_gradient():
+    x = t64([1.0, 2.0], requires_grad=True)
+    with pytest.raises(ValueError, match="scalar loss"):
+        T.mul(x, 2.0).backward()
+    assert x.grad is None
+
+
+def test_backward_from_a_leaf_owns_and_then_adds_its_gradient():
+    x = t64(np.zeros((2, 3)), requires_grad=True)
+    g = np.arange(6.0).reshape(3, 2).T   # not C-contiguous
+    x.backward(g)
+    assert x.grad.flags.owndata and x.grad.flags.c_contiguous
+    assert not np.shares_memory(x.grad, g)
+    np.testing.assert_array_equal(x.grad, g)
+    x.backward(g)
+    np.testing.assert_array_equal(x.grad, 2.0 * g)
 
 
 @pytest.mark.parametrize("second", ["take", "mul"])
@@ -736,12 +800,9 @@ def test_gradcheck_detects_corrupted_backward():
     # Negative control: an op with a deliberately wrong backward rule.
     x = t64([0.5, -1.5, 2.0], requires_grad=True, name="x")
     def bad_square(t):
-        out = T._make(t.data * t.data, (t,))
         nt = t._node
-        def _bw(g):
-            T._accum(nt, g * 3.0 * t.data)  # wrong: should be 2x
-        out._node._backward = _bw
-        return out
+        # wrong: should be 2x
+        return T._op(t.data * t.data, (t,), lambda g: T._accum(nt, g * 3.0 * t.data))
     def f(p):
         return T.tsum(bad_square(p["x"]))
     rep = grad_check(f, {"x": x}, max_entries_per_param=None)
@@ -766,11 +827,9 @@ def test_gradcheck_layer_norm_and_composites():
 
 def _power(a, p):
     """``a ** p`` as a tape node, for the composite reference below."""
-    out = T._make(a.data ** p, (a,))
-    if out.requires_grad:
-        na = a._node
-        out._node._backward = lambda g: T._accum(na, g * p * a.data ** (p - 1.0), fresh=True)
-    return out
+    na = a._node
+    return T._op(a.data ** p, (a,),
+                 lambda g: T._accum(na, g * p * a.data ** (p - 1.0), fresh=True))
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
@@ -850,6 +909,26 @@ def test_adam_zero_gradients_leave_params_unchanged():
     before = p.data.copy()
     opt.step()
     np.testing.assert_array_equal(p.data, before)
+
+
+def test_adam_steps_a_parameter_no_loss_reaches_as_with_a_zero_gradient():
+    runs = []
+    for reached in (False, True):
+        p = t64([1.0, -2.0], requires_grad=True)
+        q = t64([0.5, 0.25], requires_grad=True)
+        opt = Adam({"p": p, "q": q}, lr=0.1)
+        p.grad = np.array([0.5, -1.0])   # moments that later steps carry on
+        opt.step()
+        for _ in range(2):
+            opt.zero_grad()
+            loss = T.tsum(T.mul(q, q))
+            if reached:   # a zero gradient for p
+                loss = T.add(loss, T.tsum(T.mul(p, 0.0)))
+            loss.backward()
+            assert (p.grad is None) is not reached
+            opt.step()
+        runs.append([a.tobytes() for a in (p.data, opt.m["p"], opt.v["p"], q.data)])
+    assert runs[0] == runs[1]
 
 
 def test_adam_single_step_hand_recurrence():

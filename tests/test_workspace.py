@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sharedworkspace import tensor as T
 from sharedworkspace.errors import ConfigError
 from sharedworkspace.gradcheck import grad_check
+from sharedworkspace.models import causal_mask
 from sharedworkspace.optim import NumericError
 from sharedworkspace.tensor import Tensor
 from sharedworkspace.workspace import (SharedWorkspace, WorkspaceState,
@@ -239,7 +240,7 @@ def test_causal_round_matches_plain_round_over_each_prefix():
     readers = rng.normal(size=(b, n_t, 8))
     memory = rng.normal(size=(b, n_t, ws.n_m, ws.n_l))   # a distinct memory per position
     state, read, _ = ws.communicate(WorkspaceState(t64(memory)), t64(writers),
-                                    t64(readers), causal=True)
+                                    t64(readers), mask=causal_mask(n_t))
     assert state.memory.shape == memory.shape and read.shape == readers.shape
     for t in range(n_t):
         st_t, read_t, _ = ws.communicate(WorkspaceState(t64(memory[:, t])),
@@ -257,9 +258,10 @@ def test_causal_round_over_rows_builds_only_those_memory_copies():
     writers = t64(rng.normal(size=(b, n_t, 8)))
     readers = t64(rng.normal(size=(b, n_t, 8)))
     memory = t64(rng.normal(size=(b, n_t, ws.n_m, ws.n_l)))
-    full, read, _ = ws.communicate(WorkspaceState(memory), writers, readers, causal=True)
+    full, read, _ = ws.communicate(WorkspaceState(memory), writers, readers,
+                                   mask=causal_mask(n_t))
     cut, read_r, write = ws.communicate(WorkspaceState(memory), writers, readers[:, rows],
-                                        causal=True, rows=rows)
+                                        mask=causal_mask(n_t), rows=rows)
     assert cut.memory.shape == (b, 3, ws.n_m, ws.n_l) and read_r.shape == (b, 3, 8)
     assert write.weights.shape == (b, 3, ws.n_heads, ws.n_m, n_t)
     assert np.abs(cut.memory.data - full.memory.data[:, rows]).max() < 1e-12
@@ -277,7 +279,8 @@ def test_readers_must_be_the_named_rows(causal):
         cases.append((readers[:, 3:], None))
     for got, rows in cases:
         with pytest.raises(ConfigError, match="readers"):
-            ws.communicate(ws.reset(memory_batch), writers, got, causal=causal, rows=rows)
+            ws.communicate(ws.reset(memory_batch), writers, got,
+                           mask=causal_mask(6) if causal else None, rows=rows)
 
 
 # ---- reset / persistence ------------------------------------------------------

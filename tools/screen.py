@@ -7,11 +7,14 @@ DIR is a checkout of this repository.  The two checkouts' ``src/`` packages
 are imported side by side (under the names ``screen_parent`` and
 ``screen_change``) with BLAS pinned to one thread.  Each side builds its
 model from the workload's config in this checkout's ``perfbench/workloads.py``
-and an Adam optimizer at ``lr = 0``, so the parameters never move.  Both sides
-then take one untimed warm-up step and ``N`` timed steps in turns, on the same
-batches and with the same dropout streams, and switch which side goes first
-at every step; then ``M`` evaluates over the test split, alternating the same
-way; then ``K`` checkpoint round trips, alternating the same way.  A step is
+and an Adam optimizer at ``lr = 0``, so the parameters never move.  Both
+sides then take one untimed warm-up step and ``N`` timed steps in turns, on
+the same batches and with the same dropout streams, and switch which side
+goes first at every step.  Since a change that moves only gradients leaves
+the losses alone at ``lr = 0``, every parameter's gradient bytes are
+compared between the sides after each step, outside the timed region.
+Then ``M`` evaluates over the test split, alternating the same way; then
+``K`` checkpoint round trips, alternating the same way.  A step is
 ``batch_loss``, ``Adam.zero_grad``, ``backward`` and ``Adam.step``, as in
 ``perfbench/worker.py``, over the epoch order and dropout streams the worker
 draws; the data comes from the change side's generator with the benchmark's
@@ -29,8 +32,9 @@ does not show here.
 
 Prints each side's median step, evaluate and round-trip time and how many
 of them the change won.  Exits 1 at the first step (or evaluate) whose loss
-bytes differ between the sides, or the first round trip whose checkpoint
-files differ in any byte, 0 otherwise.
+bytes differ between the sides, the first step after which a parameter's
+gradient bytes differ (naming the first such parameter), or the first round
+trip whose checkpoint files differ in any byte, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -117,6 +121,18 @@ class Side:
         return path.read_bytes()
 
 
+def first_grad_difference(parent: Side, change: Side) -> str | None:
+    """The name of the first parameter whose gradient bytes differ between
+    the sides, or that only one side has; None when all agree."""
+    def grad_bytes(p):
+        return None if p.grad is None else p.grad.tobytes()
+    for name in dict.fromkeys([*parent.params, *change.params]):
+        p, c = parent.params.get(name), change.params.get(name)
+        if p is None or c is None or grad_bytes(p) != grad_bytes(c):
+            return name
+    return None
+
+
 def in_turns(i: int, parent: Side, change: Side):
     return (parent, change) if i % 2 == 0 else (change, parent)
 
@@ -152,6 +168,10 @@ def screen(parent_dir: Path, change_dir: Path, workload: str, steps: int, evals:
             print(f"step {i}: loss bytes differ: parent {float(losses['parent'])!r}, "
                   f"change {float(losses['change'])!r}", file=sys.stderr)
             return 1
+        differ = first_grad_difference(parent, change)
+        if differ is not None:
+            print(f"step {i}: gradient bytes of {differ!r} differ", file=sys.stderr)
+            return 1
         if i == 0:
             for side in (parent, change):
                 side.step_s.clear()
@@ -170,7 +190,7 @@ def screen(parent_dir: Path, change_dir: Path, workload: str, steps: int, evals:
                 return 1
 
     print(f"{workload}: {steps} steps, {evals} evaluates and {checkpoints} checkpoint "
-          f"round trips per side, losses and files identical")
+          f"round trips per side, losses, gradients and files identical")
     if steps:
         print(report("step", parent.step_s, change.step_s))
     if evals:
